@@ -31,6 +31,17 @@ SCENARIO_CASES: dict[str, tuple[str, dict]] = {
 CLUSTER_CASES: dict[str, tuple[str, dict]] = {
     "dc-diurnal-small.consolidate": ("dc-diurnal-small", {"policy": "consolidate"}),
     "dc-diurnal-small.static": ("dc-diurnal-small", {"policy": "static"}),
+    "dc-diurnal-small.spread": ("dc-diurnal-small", {"policy": "spread"}),
+    "dc-diurnal-small.consolidate-ffd": (
+        "dc-diurnal-small",
+        {"policy": "consolidate-ffd"},
+    ),
+    # Fewer VMs than machines: spread keeps the empty host on through
+    # serving, so its idle draw lands in the fleet energy.
+    "dc-diurnal-small.spread-3vm": (
+        "dc-diurnal-small",
+        {"policy": "spread", "n_vms": 3},
+    ),
 }
 
 #: Sweep cases: fixture stem -> preset name (serial cold run, JSON export).

@@ -13,18 +13,16 @@ Run:  python examples/consolidation_study.py
 from repro import TimeSeries, render_chart
 from repro.cluster import (
     ClusterScenarioConfig,
-    ClusterSim,
-    consolidate_first_fit,
     make_population,
     MachineSpec,
-    spread_round_robin,
+    Orchestrator,
 )
 from repro.cpu import catalog
 from repro.telemetry import table_to_text
 
 
-def run(policy, dvfs: bool) -> ClusterSim:
-    sim = ClusterSim(
+def run(policy: str, dvfs: bool) -> Orchestrator:
+    sim = Orchestrator(
         n_machines=8,
         machine_spec=MachineSpec(processor=catalog.CORE_I7_3770, memory_mb=16384),
         vms=make_population(ClusterScenarioConfig(n_vms=12, seed=7)),
@@ -37,10 +35,10 @@ def run(policy, dvfs: bool) -> ClusterSim:
 
 def main() -> None:
     strategies = {
-        "spread, no DVFS": run(spread_round_robin, False),
-        "spread + DVFS": run(spread_round_robin, True),
-        "consolidation, no DVFS": run(consolidate_first_fit, False),
-        "consolidation + DVFS": run(consolidate_first_fit, True),
+        "spread, no DVFS": run("spread", False),
+        "spread + DVFS": run("spread", True),
+        "consolidation, no DVFS": run("consolidate-ffd", False),
+        "consolidation + DVFS": run("consolidate-ffd", True),
     }
     baseline = strategies["spread, no DVFS"].fleet_energy_joules
     print(

@@ -1,7 +1,7 @@
 """Datacenter orchestration study: policies, caps and day shapes.
 
 Runs the ``dc-diurnal`` fleet (24 VMs mixing all five day shapes on 10
-machines) under every orchestration policy, then tightens the
+machines) under every registered policy, then tightens the
 ``power-budget`` watt cap step by step to show the energy/SLA trade the
 multi-host PAS cap buys.
 
@@ -10,7 +10,7 @@ Run with::
     PYTHONPATH=src python examples/datacenter_study.py
 """
 
-from repro.cluster.scenario import orchestration_policy_names, run_cluster_scenario
+from repro.cluster import policy_names, run_cluster_scenario
 from repro.experiments import preset_config
 from repro.sweep.metrics import cluster_metrics
 from repro.telemetry import table_to_text
@@ -20,7 +20,7 @@ def main() -> None:
     config = preset_config("dc-diurnal")
 
     rows = []
-    for policy in orchestration_policy_names():
+    for policy in policy_names():
         sim = run_cluster_scenario(config.with_changes(policy=policy))
         m = cluster_metrics(sim)
         rows.append(
@@ -37,7 +37,7 @@ def main() -> None:
         table_to_text(
             ["policy", "energy Wh", "hosts on", "migrations", "SLA %", "peak W"],
             rows,
-            title="dc-diurnal: one day, four orchestration policies",
+            title="dc-diurnal: one day, every registered policy",
         )
     )
 

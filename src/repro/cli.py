@@ -20,7 +20,7 @@ Examples::
     python -m repro store ls --store results-store --where scheduler=pas
     python -m repro store export --store results-store --out corpus.csv --where governor=stable
     python -m repro cluster run --preset dc-diurnal-small --out-series epochs.csv
-    python -m repro cluster sweep --preset dc-diurnal --store results-store
+    python -m repro sweep --preset dc-diurnal --store results-store
     python -m repro cluster compare --preset dc-diurnal --out-dir dc-series
 
 Every command prints the same paper-vs-measured report the benchmarks
@@ -823,13 +823,20 @@ _SWEEP_DEFAULTS = {
     "v20_loads": "exact,thrashing",
 }
 
-#: Compact per-cell columns for the terminal summary.
+#: Compact per-cell columns for the terminal summary, host columns then
+#: fleet columns; a table shows the ones its cells carry.
 _SWEEP_SUMMARY_METRICS = (
     "v20_absolute_solo_early",
     "v20_global_both",
     "freq_mhz_solo_early",
     "dvfs_transitions",
     "energy_joules",
+    "energy_kwh",
+    "hosts_on_mean",
+    "migrations",
+    "sla_violations",
+    "power_peak_w",
+    "sla_mean",
 )
 
 
@@ -950,16 +957,20 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             title=f"sweep: {len(results)} cells, axes {', '.join(grid.axes)}",
         )
     )
+    # Host cells carry joules; fleet cells carry kWh, printed as Wh.
+    if "energy_joules" in results.cells[0].metrics:
+        energy, heading, scale, width, digits, unit = "energy_joules", "energy", 1, 10, 0, "J"
+    else:
+        energy, heading, scale, width, digits, unit = "energy_kwh", "fleet energy", 1000, 8, 2, "Wh"
     for axis in grid.axes:
-        if len(grid.axes[axis]) < 2 or "energy_joules" not in results.cells[0].metrics:
+        if len(grid.axes[axis]) < 2 or energy not in results.cells[0].metrics:
             continue
-        print()
-        print(f"mean energy by {axis}:")
-        for value, summary in results.aggregate("energy_joules", by=axis).items():
-            ci = f" ± {summary['ci95']:.0f}" if summary["count"] > 1 else ""
+        print(f"\nmean {heading} by {axis}:")
+        for value, summary in results.aggregate(energy, by=axis).items():
+            ci = f" ± {summary['ci95'] * scale:.{digits}f}" if summary["count"] > 1 else ""
             print(
-                f"  {str(value):<14} {summary['mean']:10.0f}{ci} J "
-                f"over {summary['count']} cells"
+                f"  {str(value):<14} {summary['mean'] * scale:{width}.{digits}f}{ci} "
+                f"{unit} over {summary['count']} cells"
             )
     if args.store and not args.quiet:
         print(
@@ -1157,102 +1168,6 @@ def _cmd_cluster_run(args: argparse.Namespace) -> int:
         return 2
 
 
-#: Per-cell columns for the cluster sweep terminal summary.
-_CLUSTER_SUMMARY_METRICS = (
-    "energy_kwh",
-    "hosts_on_mean",
-    "migrations",
-    "sla_violations",
-    "power_peak_w",
-    "sla_mean",
-)
-
-
-def _cmd_cluster_sweep(args: argparse.Namespace) -> int:
-    from .sweep import SweepRunner
-
-    if args.resume and args.force:
-        print("cluster sweep: --resume and --force are opposites; pick one", file=sys.stderr)
-        return 2
-    if (args.resume or args.force) and not args.store:
-        print(
-            "cluster sweep: --resume/--force only make sense with --store DIR",
-            file=sys.stderr,
-        )
-        return 2
-    overrides = {}
-    if args.duration is not None:
-        overrides["duration"] = args.duration
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    try:
-        preset = get_preset(args.preset)
-        if preset.kind != "cluster":
-            raise ConfigurationError(
-                f"preset {preset.name!r} is kind:{preset.kind}; cluster sweep "
-                "needs a kind:cluster preset (see sweep --list-presets)"
-            )
-        grid = preset_grid(
-            args.preset,
-            overrides=overrides,
-            replicates=args.replicates,
-            vary_seed=not args.fixed_seed,
-        )
-        from .obs import observed
-
-        _, registry = _observation_for(None, args.metrics_out)
-        reporter = _SweepReporter(len(grid), _verbosity_of(args))
-        runner = SweepRunner(
-            grid,
-            metrics=preset.metrics,
-            workers=args.workers,
-            store=args.store,
-            resume=not args.force,
-            progress=reporter,
-        )
-        try:
-            with observed(metrics=registry):
-                results = runner.run()
-        finally:
-            reporter.finish()
-    except ConfigurationError as error:
-        print(f"cluster sweep: {error}", file=sys.stderr)
-        return 2
-    print(
-        results.summary_table(
-            [m for m in _CLUSTER_SUMMARY_METRICS if m in results.cells[0].metrics]
-            or None,
-            title=f"cluster sweep: {len(results)} cells, axes {', '.join(grid.axes)}",
-        )
-    )
-    for axis in grid.axes:
-        if len(grid.axes[axis]) < 2 or "energy_kwh" not in results.cells[0].metrics:
-            continue
-        print()
-        print(f"mean fleet energy by {axis}:")
-        for value, summary in results.aggregate("energy_kwh", by=axis).items():
-            ci = f" ± {summary['ci95'] * 1000:.2f}" if summary["count"] > 1 else ""
-            print(
-                f"  {str(value):<14} {summary['mean'] * 1000:8.2f}{ci} Wh "
-                f"over {summary['count']} cells"
-            )
-    if args.store and not args.quiet:
-        print(
-            f"\nstore: {runner.cache_hits} cells warm, {runner.computed} computed "
-            f"({pathlib.Path(args.store)})"
-        )
-    if registry is not None:
-        path = registry.save(args.metrics_out)
-        print(f"\nwrote {len(registry)} metrics to {path}")
-    if args.out:
-        path = results.save(args.out)
-        print(f"\nwrote {len(results)} cells to {path}")
-    if args.out_aggregated:
-        path = results.export_aggregated(args.out_aggregated)
-        print(f"wrote {len(results.aggregated_records())} aggregated rows to {path}")
-    return 0
-
-
 def _replicate_seeds(root_seed: int, policy: str, replicates: int) -> list[int]:
     """Per-replicate seeds, mirroring the sweep convention.
 
@@ -1279,9 +1194,10 @@ def _format_ci(mean: float, ci95: float, digits: int, *, scale: float = 1.0) -> 
 
 
 def _cmd_cluster_compare(args: argparse.Namespace) -> int:
-    from .cluster.scenario import orchestration_policy_names, run_cluster_scenario
+    from .cluster.policies import policy_names
+    from .cluster.scenario import run_cluster_scenario
     from .sweep.metrics import cluster_metrics
-    from .sweep.store import _mean_std_ci
+    from .sweep.results import _mean_std_ci
     from .telemetry.export import records_to_csv
 
     try:
@@ -1298,7 +1214,7 @@ def _cmd_cluster_compare(args: argparse.Namespace) -> int:
                     "sets no power_budget_w"
                 )
         else:
-            policies = list(orchestration_policy_names())
+            policies = list(policy_names())
             if config.power_budget_w is None and "power-budget" in policies:
                 policies.remove("power-budget")
                 print(
@@ -1429,12 +1345,12 @@ def _cmd_cluster_compare(args: argparse.Namespace) -> int:
 def _add_cluster_parser(commands) -> None:
     cluster = commands.add_parser(
         "cluster",
-        help="datacenter orchestration: run, sweep or compare fleet scenarios",
+        help="datacenter orchestration: run or compare fleet scenarios",
         description=(
             "Drive the epoch-driven orchestration subsystem: run one fleet "
-            "scenario with per-epoch/per-host telemetry exports, sweep a "
-            "cluster preset grid through the experiment store, or compare "
-            "every registered orchestration policy over one fleet."
+            "scenario with per-epoch/per-host telemetry exports, or compare "
+            "every registered orchestration policy over one fleet.  Sweep a "
+            "kind:cluster preset grid with `sweep --preset`."
         ),
     )
     actions = cluster.add_subparsers(dest="action", required=True)
@@ -1478,60 +1394,6 @@ def _add_cluster_parser(commands) -> None:
         help="write the runtime-metrics snapshot JSON to PATH",
     )
     c_run.set_defaults(fn=_cmd_cluster_run)
-
-    c_sweep = actions.add_parser(
-        "sweep", help="run a cluster preset grid (store-cacheable, resumable)"
-    )
-    c_sweep.add_argument("--preset", required=True, help="a kind:cluster preset name")
-    c_sweep.add_argument(
-        "--replicates",
-        type=int,
-        default=1,
-        help="statistical replicates per cell (per-replicate derived seeds)",
-    )
-    c_sweep.add_argument("--duration", type=float, default=None)
-    c_sweep.add_argument("--seed", type=int, default=None)
-    c_sweep.add_argument(
-        "--fixed-seed",
-        action="store_true",
-        help="give every cell the root seed instead of derived per-cell seeds",
-    )
-    c_sweep.add_argument("--workers", type=int, default=1, help="process-pool size")
-    c_sweep.add_argument("--out", default=None, help="write results to PATH (.json or .csv)")
-    c_sweep.add_argument(
-        "--out-aggregated",
-        default=None,
-        help="write one row per logical cell with mean/std/ci95 columns to PATH",
-    )
-    c_sweep.add_argument(
-        "--store",
-        default=None,
-        help="experiment-store DIR: stream finished cells, skip computed ones",
-    )
-    c_sweep.add_argument("--resume", action="store_true", help="with --store: serve stored cells")
-    c_sweep.add_argument(
-        "--force", action="store_true", help="with --store: recompute and overwrite"
-    )
-    c_sweep.add_argument(
-        "--metrics-out",
-        default=None,
-        metavar="PATH",
-        help="write the runtime-metrics snapshot JSON to PATH",
-    )
-    c_sweep.add_argument(
-        "-v",
-        "--verbose",
-        action="count",
-        default=0,
-        help="per-cell progress lines on stderr (default: one live line)",
-    )
-    c_sweep.add_argument(
-        "-q",
-        "--quiet",
-        action="store_true",
-        help="suppress progress and store-status output",
-    )
-    c_sweep.set_defaults(fn=_cmd_cluster_sweep)
 
     c_compare = actions.add_parser(
         "compare",
@@ -1684,9 +1546,9 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Expand a parameter grid over the §5.3 scenario and run every cell, "
             "optionally across a process pool.  Axes come from a named preset "
-            "(--preset, see --list-presets), from the three list flags, or from "
-            "--grid as a JSON object mapping ScenarioConfig fields to value "
-            "lists (see the repro.sweep module docs)."
+            "(--preset, see --list-presets; kind:cluster presets sweep fleets), "
+            "from the three list flags, or from --grid as a JSON object mapping "
+            "ScenarioConfig fields to value lists (see the repro.sweep module docs)."
         ),
     )
     sweep.add_argument(

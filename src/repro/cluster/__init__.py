@@ -24,13 +24,13 @@ Pieces:
 * :class:`~repro.cluster.vm.ClusterVM` — a VM with booked credit, a memory
   footprint and a demand trace;
 * :mod:`~repro.cluster.policies` — the orchestration policy registry
-  (``static``, ``consolidate``, ``load-balance``, ``power-budget``);
+  (``static``, ``consolidate``, ``load-balance``, ``power-budget``, and
+  the §2.3 baselines ``spread`` and memory-bound first-fit
+  ``consolidate-ffd``);
 * :mod:`~repro.cluster.migration` — downtime + dirty-page-copy pricing of
   one live migration;
-* legacy placement callables (:mod:`~repro.cluster.placement`) — spread vs
-  memory-bound first-fit consolidation;
-* :class:`~repro.cluster.orchestrator.Orchestrator` (alias ``ClusterSim``)
-  — the epoch loop, producing fleet *and* per-host telemetry series;
+* :class:`~repro.cluster.orchestrator.Orchestrator` — the epoch loop,
+  producing fleet *and* per-host telemetry series;
 * :class:`~repro.cluster.scenario.ClusterScenarioConfig` — the declarative,
   sweepable fleet spec (day-shape populations, migration pricing, watt
   caps).
@@ -44,25 +44,26 @@ from .migration import (
     MigrationEvent,
     MigrationModel,
 )
-from .placement import consolidate_first_fit, PlacementError, spread_round_robin
 from .policies import (
+    ConsolidateFFDPolicy,
     ConsolidatePolicy,
     current_assignment,
     EpochPlan,
     LoadBalancePolicy,
     make_policy,
     OrchestrationPolicy,
+    PlacementError,
     POLICY_REGISTRY,
     policy_names,
     PowerBudgetPolicy,
+    SpreadPolicy,
     StaticPolicy,
 )
-from .orchestrator import ClusterSim, EpochStats, Orchestrator
+from .orchestrator import EpochStats, Orchestrator
 from .scenario import (
     build_cluster,
     ClusterScenarioConfig,
     make_population,
-    POLICIES,
     run_cluster_scenario,
 )
 
@@ -74,8 +75,6 @@ __all__ = [
     "MigrationEvent",
     "DEFAULT_MIGRATION",
     "FREE_MIGRATION",
-    "consolidate_first_fit",
-    "spread_round_robin",
     "PlacementError",
     "OrchestrationPolicy",
     "EpochPlan",
@@ -83,12 +82,12 @@ __all__ = [
     "ConsolidatePolicy",
     "LoadBalancePolicy",
     "PowerBudgetPolicy",
+    "SpreadPolicy",
+    "ConsolidateFFDPolicy",
     "POLICY_REGISTRY",
-    "POLICIES",
     "policy_names",
     "make_policy",
     "current_assignment",
-    "ClusterSim",
     "Orchestrator",
     "EpochStats",
     "ClusterScenarioConfig",

@@ -13,19 +13,16 @@ lists flow straight through :func:`repro.telemetry.export.records_to_csv`,
 so a fleet run exports per-epoch series exactly like a single-host run
 exports time series.
 
-Legacy placement callables (``(machines, vms) -> int``, the PR-0 API) are
-still accepted: they are invoked every ``repack_every`` epochs exactly as
-before, with migrations counted — and, when a migration model is set,
-priced — from the assignment diff.
-
-``ClusterSim`` remains the public name (``Orchestrator`` is its alias):
-every existing construction site keeps working unchanged.
+Every policy — the demand-aware orchestration policies and the §2.3
+``spread``/``consolidate-ffd`` baselines alike — is an entry of
+:data:`~repro.cluster.policies.POLICY_REGISTRY` and goes through the same
+plan → migrate → serve path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 from ..errors import ConfigurationError
 from ..obs import hooks as _obs
@@ -34,9 +31,6 @@ from .machine import Machine, MachineSpec
 from .migration import MigrationEvent, MigrationModel
 from .policies import current_assignment, EpochPlan, make_policy, OrchestrationPolicy
 from .vm import ClusterVM
-
-#: A legacy placement policy: (machines, vms) -> machines powered on.
-Policy = Callable[[Sequence[Machine], Sequence[ClusterVM]], int]
 
 #: Served shortfalls below this (absolute percent) are float noise, not
 #: SLA violations.
@@ -114,18 +108,15 @@ class Orchestrator:
     vms:
         The VM population.
     policy:
-        An :class:`~repro.cluster.policies.OrchestrationPolicy`, a registry
-        name (``"static"``, ``"consolidate"``, ``"load-balance"``,
-        ``"power-budget"``), or a legacy placement callable
-        (:mod:`repro.cluster.placement`).
+        An :class:`~repro.cluster.policies.OrchestrationPolicy` or a
+        :data:`~repro.cluster.policies.POLICY_REGISTRY` name (``"static"``,
+        ``"consolidate"``, ``"load-balance"``, ``"power-budget"``,
+        ``"spread"``, ``"consolidate-ffd"``).
     dvfs:
         Whether machines scale frequency to their load (Listing 1.1) or pin
         the maximum.
     epoch_s:
         Seconds per epoch (placement + frequency decisions cadence).
-    repack_every:
-        Legacy callables only: re-run the policy every N epochs
-        (orchestration policies are consulted every epoch and self-limit).
     migration:
         Cost model priced per executed migration; ``None`` = free moves
         (the pre-orchestration behaviour).
@@ -147,12 +138,11 @@ class Orchestrator:
         *,
         n_machines: int,
         vms: Sequence[ClusterVM],
-        policy: OrchestrationPolicy | Policy | str,
+        policy: OrchestrationPolicy | str,
         dvfs: bool,
         machine_spec: MachineSpec | None = None,
         machine_specs: Sequence[MachineSpec] | None = None,
         epoch_s: float = 10.0,
-        repack_every: int = 1,
         migration: MigrationModel | None = None,
         power_budget_w: float | None = None,
         placement: str | None = None,
@@ -160,8 +150,6 @@ class Orchestrator:
     ) -> None:
         if machine_specs is None and n_machines < 1:
             raise ConfigurationError(f"need at least one machine, got {n_machines}")
-        if repack_every < 1:
-            raise ConfigurationError(f"repack_every must be >= 1, got {repack_every}")
         names = {vm.name for vm in vms}
         if len(names) != len(vms):
             raise ConfigurationError("duplicate VM names in the population")
@@ -169,10 +157,10 @@ class Orchestrator:
             policy = make_policy(
                 policy, power_budget_w=power_budget_w, placement=placement
             )
-        if not isinstance(policy, OrchestrationPolicy) and not callable(policy):
+        if not isinstance(policy, OrchestrationPolicy):
             raise ConfigurationError(
-                f"policy must be an OrchestrationPolicy, a registry name or a "
-                f"placement callable, got {type(policy).__name__}"
+                f"policy must be an OrchestrationPolicy or a registry name, "
+                f"got {type(policy).__name__}"
             )
         if machine_specs is not None:
             expanded = [spec for spec in machine_specs for _ in range(spec.count)]
@@ -187,7 +175,6 @@ class Orchestrator:
         self.policy = policy
         self.dvfs = dvfs
         self.epoch_s = check_positive(epoch_s, "epoch_s")
-        self.repack_every = repack_every
         self.migration_model = migration
         self.power_budget_w = power_budget_w
         if qos != "none":
@@ -216,45 +203,30 @@ class Orchestrator:
 
     def _plan_epoch(self) -> tuple[EpochPlan, list[MigrationEvent]]:
         """Consult the policy and execute its placement decision."""
-        if isinstance(self.policy, OrchestrationPolicy):
-            plan = self.policy.plan(
-                self.machines,
-                self.vms,
-                time=self._time,
-                epoch_index=self._epoch_index,
-                epoch_s=self.epoch_s,
-                dvfs=self.dvfs,
-            )
-            events = (
-                [] if plan.assignment is None else self._apply_assignment(plan.assignment)
-            )
-            # Machines the plan leaves empty power down *before* serving:
-            # an orchestration decision takes effect this epoch, not after
-            # one epoch of idle burn.  Hosts party to one of this epoch's
-            # migrations stay on through it — a drained source still burns
-            # CPU sending dirty pages — and power off next epoch.  (Legacy
-            # callables keep the old post-epoch shutdown so their fleets
-            # behave bit-identically.)
-            migrating = {event.source for event in events} | {
-                event.dest for event in events
-            }
-            for machine in self.machines:
-                if machine.name not in migrating:
-                    machine.power_off_if_empty()
-            return plan, events
-        # Legacy callable: clear-and-replace every repack interval, with
-        # migrations recovered from the assignment diff (as before).
-        if self._epoch_index % self.repack_every != 0:
-            return EpochPlan(), []
-        before = current_assignment(self.machines)
-        self.policy(self.machines, self.vms)
-        after = current_assignment(self.machines)
-        events = [
-            MigrationEvent(time=self._time, vm=name, source=before[name], dest=machine)
-            for name, machine in sorted(after.items())
-            if name in before and before[name] != machine
-        ]
-        return EpochPlan(), events
+        plan = self.policy.plan(
+            self.machines,
+            self.vms,
+            time=self._time,
+            epoch_index=self._epoch_index,
+            epoch_s=self.epoch_s,
+            dvfs=self.dvfs,
+        )
+        events = [] if plan.assignment is None else self._apply_assignment(plan.assignment)
+        # Machines the plan leaves empty power down *before* serving: an
+        # orchestration decision takes effect this epoch, not after one
+        # epoch of idle burn.  Hosts party to one of this epoch's
+        # migrations stay on through it — a drained source still burns CPU
+        # sending dirty pages — and power off next epoch; so do the hosts
+        # the plan holds on.
+        held = plan.hold_on | {event.source for event in events} | {
+            event.dest for event in events
+        }
+        for machine in self.machines:
+            if machine.name in held:
+                machine.powered_on = True
+            else:
+                machine.power_off_if_empty()
+        return plan, events
 
     def _apply_assignment(self, desired: Mapping[str, str]) -> list[MigrationEvent]:
         """Move the fleet to *desired*; returns the executed migrations.
@@ -407,9 +379,6 @@ class Orchestrator:
             metrics.inc("cluster.migrations_executed", len(events))
             metrics.record_max("cluster.peak_power_w", stat.power_w)
 
-    def _assignment(self) -> dict[str, str]:
-        return current_assignment(self.machines)
-
     # -------------------------------------------------------------- queries
 
     @property
@@ -495,7 +464,3 @@ class Orchestrator:
             for name, seconds in machine.cstate_residency().items():
                 totals[name] = totals.get(name, 0.0) + seconds
         return totals
-
-
-#: The historical public name; every existing call site keeps working.
-ClusterSim = Orchestrator

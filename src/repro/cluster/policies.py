@@ -33,21 +33,35 @@ Registry (:data:`POLICY_REGISTRY`, addressable by name from a
     the highest-drawing host is stepped down one P-state.  Delivered
     utilisation can only be lower than the demand the prediction assumes,
     so the delivered per-epoch fleet power never exceeds the cap.
+``spread``
+    The §2.3 pre-consolidation hosting centre: VMs round-robin over the
+    whole fleet and every machine stays on, empty or not.
+``consolidate-ffd``
+    The §2.3 consolidation packer: first-fit-decreasing by memory, empty
+    machines off.  Memory alone bounds the packing, which is why the
+    packed hosts stay CPU-underloaded and DVFS still pays.
+
+Every policy is *memory-feasible by construction*: a VM is only placed
+where its footprint fits, or :class:`PlacementError` is raised.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, ReproError
 from ..units import check_positive
 from .machine import Machine
-from .placement import PlacementError
 from .vm import ClusterVM
 
 #: A VM→host assignment: ``{vm name: machine name}``.
 Assignment = Mapping[str, str]
+
+
+class PlacementError(ReproError):
+    """The fleet cannot host the VM set (memory-infeasible)."""
 
 
 def current_assignment(machines: Sequence[Machine]) -> dict[str, str]:
@@ -110,12 +124,15 @@ class EpochPlan:
 
     ``assignment=None`` keeps the current placement (zero migrations);
     floors/ceilings are MHz bounds per machine name, applied after the
-    machine's own DVFS choice.
+    machine's own DVFS choice.  ``hold_on`` names machines the
+    orchestrator powers on and keeps on through serving even when they
+    host no VM (they burn idle power this epoch).
     """
 
     assignment: Assignment | None = None
     freq_floors: Mapping[str, int] = field(default_factory=dict)
     freq_ceilings: Mapping[str, int] = field(default_factory=dict)
+    hold_on: frozenset[str] = frozenset()
 
 
 class OrchestrationPolicy:
@@ -641,12 +658,63 @@ class PowerBudgetPolicy(ConsolidatePolicy):
         )
 
 
+class SpreadPolicy(OrchestrationPolicy):
+    """Round-robin over the whole fleet; every machine stays on (§2.3).
+
+    Models the pre-consolidation hosting centre: VM *i* (in name order)
+    goes to machine ``i mod n``, or to the next machine round the ring
+    with room for its memory.  Machines left empty are still held on, so
+    a fleet with fewer VMs than machines pays their idle power.
+    """
+
+    name = "spread"
+
+    def plan(self, machines, vms, *, time, epoch_index, epoch_s, dvfs) -> EpochPlan:
+        free_mb = {machine.name: machine.spec.memory_mb for machine in machines}
+        assignment: dict[str, str] = {}
+        for index, vm in enumerate(sorted(vms, key=lambda v: v.name)):
+            for offset in range(len(machines)):
+                machine = machines[(index + offset) % len(machines)]
+                if vm.memory_mb <= free_mb[machine.name]:
+                    assignment[vm.name] = machine.name
+                    free_mb[machine.name] -= vm.memory_mb
+                    break
+            else:
+                raise PlacementError(
+                    f"VM {vm.name!r} ({vm.memory_mb} MB) fits no machine"
+                )
+        return EpochPlan(
+            assignment=assignment,
+            hold_on=frozenset(machine.name for machine in machines),
+        )
+
+
+class ConsolidateFFDPolicy(OrchestrationPolicy):
+    """First-fit-decreasing by memory: the classic consolidation packer (§2.3).
+
+    VMs are packed onto as few machines as memory allows, in fleet order;
+    CPU demand is ignored, and empty machines power off.  The packing
+    depends on memory footprints only, so it migrates nothing once placed.
+    """
+
+    name = "consolidate-ffd"
+
+    def plan(self, machines, vms, *, time, epoch_index, epoch_s, dvfs) -> EpochPlan:
+        return EpochPlan(
+            assignment=pack_first_fit(
+                machines, vms, lambda vm: vm.memory_mb, limit_percent=math.inf
+            )
+        )
+
+
 #: Orchestration policies addressable by name, in documentation order.
 POLICY_REGISTRY: dict[str, type[OrchestrationPolicy]] = {
     StaticPolicy.name: StaticPolicy,
     ConsolidatePolicy.name: ConsolidatePolicy,
     LoadBalancePolicy.name: LoadBalancePolicy,
     PowerBudgetPolicy.name: PowerBudgetPolicy,
+    SpreadPolicy.name: SpreadPolicy,
+    ConsolidateFFDPolicy.name: ConsolidateFFDPolicy,
 }
 
 
@@ -664,9 +732,10 @@ def make_policy(
     """Instantiate the registered policy *name*.
 
     ``power_budget_w`` feeds the ``power-budget`` policy (required there,
-    ignored elsewhere); ``placement`` overrides the policy's default
-    heterogeneity preference (``"efficiency"`` / ``"performance"``,
-    ``None`` keeps each policy's own default).  Unknown names raise a
+    ignored elsewhere); ``placement`` overrides the default heterogeneity
+    preference of ``static``, ``consolidate`` and ``power-budget``
+    (``"efficiency"`` / ``"performance"``, ``None`` keeps each policy's
+    own default; the other policies take none).  Unknown names raise a
     :class:`ConfigurationError` listing the registry.
     """
     if name not in POLICY_REGISTRY:
@@ -676,6 +745,6 @@ def make_policy(
         )
     if name == PowerBudgetPolicy.name:
         return PowerBudgetPolicy(budget_w=power_budget_w, placement=placement)
-    if name == LoadBalancePolicy.name:
-        return LoadBalancePolicy()
-    return POLICY_REGISTRY[name](placement=placement)
+    if name in (StaticPolicy.name, ConsolidatePolicy.name):
+        return POLICY_REGISTRY[name](placement=placement)
+    return POLICY_REGISTRY[name]()

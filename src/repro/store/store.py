@@ -327,13 +327,13 @@ class ExperimentStore:
     def to_results(
         self, *, where: Mapping[str, str | tuple[str, str]] | None = None
     ):
-        """All valid cells as a :class:`~repro.sweep.store.SweepResults`.
+        """All valid cells as a :class:`~repro.sweep.results.SweepResults`.
 
         Cells are ordered by (label, key) — deterministic whatever order
         sweeps streamed them in — and re-indexed sequentially.  *where*
         filters exactly as in :meth:`payloads`.
         """
-        from ..sweep.store import CellResult, SweepResults
+        from ..sweep.results import CellResult, SweepResults
 
         cells = [
             CellResult(

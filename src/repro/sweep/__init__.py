@@ -95,7 +95,7 @@ from .metrics import (
     reduce_outcome,
 )
 from .runner import run_cells, run_sweep, SweepRunner, WorkerPool
-from .store import CellResult, SweepResults
+from .results import CellResult, SweepResults
 
 __all__ = [
     "SweepGrid",

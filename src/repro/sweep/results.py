@@ -1,4 +1,4 @@
-"""Sweep results: an ordered, queryable, exportable store.
+"""Sweep results: an ordered, queryable, exportable collection.
 
 A :class:`SweepResults` holds one :class:`CellResult` per grid cell, in
 grid order.  Export is canonical — sorted JSON keys, fixed cell order, no
@@ -278,7 +278,7 @@ class SweepResults:
 
     @classmethod
     def from_json(cls, text: str) -> "SweepResults":
-        """Rebuild a results store from :meth:`to_json` output.
+        """Rebuild a results collection from :meth:`to_json` output.
 
         Round-trips labels, params, seeds and metrics; the original configs
         are not reconstructed.

@@ -40,7 +40,7 @@ from .metrics import (
     reduce_outcome,
     resolve_metrics,
 )
-from .store import CellResult, SweepResults
+from .results import CellResult, SweepResults
 
 
 def execute_config(config: Any):
@@ -308,9 +308,9 @@ def run_cells(grid: SweepGrid) -> dict[str, Any]:
     """Run a grid serially, keeping each cell's *full* outcome by label.
 
     For reductions that need the raw :class:`ScenarioResult` /
-    :class:`ClusterSim` (series for charts, packed-host introspection)
-    rather than flat metrics.  Serial only, and never store-cached: full
-    outcomes carry live engine state and are not worth shipping across
-    process or disk boundaries.
+    :class:`~repro.cluster.orchestrator.Orchestrator` (series for charts,
+    packed-host introspection) rather than flat metrics.  Serial only, and
+    never store-cached: full outcomes carry live engine state and are not
+    worth shipping across process or disk boundaries.
     """
     return {cell.label: execute_config(cell.config) for cell in grid}

@@ -4,13 +4,13 @@ import pytest
 
 from repro.cluster import (
     ClusterScenarioConfig,
-    ClusterSim,
     ClusterVM,
     DEFAULT_MIGRATION,
     EpochPlan,
     FREE_MIGRATION,
     MigrationModel,
     OrchestrationPolicy,
+    Orchestrator,
     run_cluster_scenario,
 )
 from repro.errors import ConfigurationError
@@ -57,7 +57,7 @@ class _PingPong(OrchestrationPolicy):
 
 def _churny_sim(migration):
     vm = ClusterVM("vm0", credit=30.0, memory_mb=2048, demand=lambda t: 20.0)
-    sim = ClusterSim(
+    sim = Orchestrator(
         n_machines=2,
         vms=[vm],
         policy=_PingPong(),
@@ -101,7 +101,7 @@ def test_copy_overhead_costs_energy():
 
 def test_none_migration_model_is_free():
     vm = ClusterVM("vm0", credit=30.0, memory_mb=2048, demand=lambda t: 20.0)
-    sim = ClusterSim(
+    sim = Orchestrator(
         n_machines=2, vms=[vm], policy=_PingPong(), dvfs=True, epoch_s=10.0
     )
     sim.run(50.0)

@@ -1,8 +1,8 @@
 """Orchestrator telemetry series and migration determinism.
 
 The determinism contract extends PR 3's to the fleet layer: the same seed
-produces byte-identical per-epoch CSV series, and cluster sweep exports are
-byte-identical serial vs parallel and cold vs store-resumed.
+produces byte-identical per-epoch CSV series, and sweeps of cluster presets
+export byte-identically serial vs parallel and cold vs store-resumed.
 """
 
 import pytest

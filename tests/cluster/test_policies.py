@@ -4,11 +4,11 @@ import pytest
 
 from repro.cluster import (
     ClusterScenarioConfig,
-    ClusterSim,
     ClusterVM,
     ConsolidatePolicy,
     current_assignment,
     make_policy,
+    Orchestrator,
     policy_names,
     PowerBudgetPolicy,
     run_cluster_scenario,
@@ -38,7 +38,14 @@ BASE = ClusterScenarioConfig(
 
 
 def test_registry_names_are_stable():
-    assert policy_names() == ("static", "consolidate", "load-balance", "power-budget")
+    assert policy_names() == (
+        "static",
+        "consolidate",
+        "load-balance",
+        "power-budget",
+        "spread",
+        "consolidate-ffd",
+    )
 
 
 def test_unknown_policy_lists_the_registry():
@@ -87,7 +94,7 @@ def test_consolidate_hysteresis_delays_the_drain():
         ClusterVM(name, credit=50.0, memory_mb=2048, demand=demand(name))
         for name in ("vm0", "vm1")
     ]
-    sim = ClusterSim(
+    sim = Orchestrator(
         n_machines=2,
         vms=vms,
         policy=ConsolidatePolicy(target_percent=75.0, hysteresis_epochs=3),
@@ -115,7 +122,7 @@ def test_consolidate_spills_overloaded_hosts_immediately():
         ClusterVM(name, credit=60.0, memory_mb=2048, demand=demand(name))
         for name in ("vm0", "vm1", "vm2")
     ]
-    sim = ClusterSim(
+    sim = Orchestrator(
         n_machines=3,
         vms=vms,
         policy=ConsolidatePolicy(target_percent=75.0, spill_percent=88.0),
@@ -200,7 +207,7 @@ def test_static_policy_is_reusable_object():
         ClusterVM(f"vm{i}", credit=30.0, memory_mb=4096, demand=lambda t: 10.0)
         for i in range(4)
     ]
-    sim = ClusterSim(n_machines=2, vms=vms, policy=policy, dvfs=True, epoch_s=10.0)
+    sim = Orchestrator(n_machines=2, vms=vms, policy=policy, dvfs=True, epoch_s=10.0)
     sim.run(50.0)
     assert current_assignment(sim.machines) == {
         "vm0": "m000",

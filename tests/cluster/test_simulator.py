@@ -1,13 +1,8 @@
-"""Unit tests for the cluster simulator."""
+"""Unit tests for the Orchestrator epoch loop under the §2.3 baselines."""
 
 import pytest
 
-from repro.cluster import (
-    ClusterSim,
-    ClusterVM,
-    consolidate_first_fit,
-    spread_round_robin,
-)
+from repro.cluster import ClusterVM, Orchestrator
 from repro.errors import ConfigurationError
 
 
@@ -19,8 +14,8 @@ def population(n, demand=15.0):
 
 
 def test_run_produces_one_stat_per_epoch():
-    sim = ClusterSim(
-        n_machines=4, vms=population(4), policy=consolidate_first_fit, dvfs=True, epoch_s=10.0
+    sim = Orchestrator(
+        n_machines=4, vms=population(4), policy="consolidate-ffd", dvfs=True, epoch_s=10.0
     )
     stats = sim.run(100.0)
     assert len(stats) == 10
@@ -28,19 +23,19 @@ def test_run_produces_one_stat_per_epoch():
 
 
 def test_sla_fraction_full_when_capacity_sufficient():
-    sim = ClusterSim(
-        n_machines=4, vms=population(4), policy=consolidate_first_fit, dvfs=True
+    sim = Orchestrator(
+        n_machines=4, vms=population(4), policy="consolidate-ffd", dvfs=True
     )
     sim.run(100.0)
     assert sim.mean_sla_fraction == pytest.approx(1.0)
 
 
 def test_consolidation_uses_fewer_machines_than_spread():
-    packed = ClusterSim(
-        n_machines=4, vms=population(4), policy=consolidate_first_fit, dvfs=False
+    packed = Orchestrator(
+        n_machines=4, vms=population(4), policy="consolidate-ffd", dvfs=False
     )
-    spread = ClusterSim(
-        n_machines=4, vms=population(4), policy=spread_round_robin, dvfs=False
+    spread = Orchestrator(
+        n_machines=4, vms=population(4), policy="spread", dvfs=False
     )
     packed.run(50.0)
     spread.run(50.0)
@@ -48,11 +43,11 @@ def test_consolidation_uses_fewer_machines_than_spread():
 
 
 def test_dvfs_reduces_fleet_energy():
-    with_dvfs = ClusterSim(
-        n_machines=4, vms=population(4), policy=consolidate_first_fit, dvfs=True
+    with_dvfs = Orchestrator(
+        n_machines=4, vms=population(4), policy="consolidate-ffd", dvfs=True
     )
-    without = ClusterSim(
-        n_machines=4, vms=population(4), policy=consolidate_first_fit, dvfs=False
+    without = Orchestrator(
+        n_machines=4, vms=population(4), policy="consolidate-ffd", dvfs=False
     )
     with_dvfs.run(100.0)
     without.run(100.0)
@@ -60,8 +55,8 @@ def test_dvfs_reduces_fleet_energy():
 
 
 def test_stable_demand_causes_no_migrations():
-    sim = ClusterSim(
-        n_machines=4, vms=population(4), policy=consolidate_first_fit, dvfs=True
+    sim = Orchestrator(
+        n_machines=4, vms=population(4), policy="consolidate-ffd", dvfs=True
     )
     sim.run(100.0)
     assert sim.total_migrations == 0
@@ -69,7 +64,7 @@ def test_stable_demand_causes_no_migrations():
 
 def test_migrations_counted_when_population_shifts():
     vms = population(4)
-    sim = ClusterSim(n_machines=4, vms=vms, policy=consolidate_first_fit, dvfs=True)
+    sim = Orchestrator(n_machines=4, vms=vms, policy="consolidate-ffd", dvfs=True)
     sim.run(10.0)
     # Make the biggest VM bigger so FFD reorders the packing.
     sim.vms[0] = ClusterVM("vm0", credit=30.0, memory_mb=8192, demand=lambda t: 15.0)
@@ -77,22 +72,9 @@ def test_migrations_counted_when_population_shifts():
     assert sim.total_migrations > 0
 
 
-def test_repack_every_skips_policy_runs():
-    sim = ClusterSim(
-        n_machines=4,
-        vms=population(4),
-        policy=consolidate_first_fit,
-        dvfs=True,
-        repack_every=5,
-        epoch_s=10.0,
-    )
-    sim.run(100.0)
-    assert sim.mean_machines_on < 4
-
-
 def test_queries_require_run():
-    sim = ClusterSim(
-        n_machines=2, vms=population(2), policy=consolidate_first_fit, dvfs=True
+    sim = Orchestrator(
+        n_machines=2, vms=population(2), policy="consolidate-ffd", dvfs=True
     )
     with pytest.raises(ConfigurationError):
         _ = sim.mean_sla_fraction
@@ -102,12 +84,12 @@ def test_duplicate_vm_names_rejected():
     vms = population(2)
     vms[1] = ClusterVM("vm0", credit=10, memory_mb=1024, demand=lambda t: 1.0)
     with pytest.raises(ConfigurationError):
-        ClusterSim(n_machines=2, vms=vms, policy=consolidate_first_fit, dvfs=True)
+        Orchestrator(n_machines=2, vms=vms, policy="consolidate-ffd", dvfs=True)
 
 
 def test_epoch_stats_fields():
-    sim = ClusterSim(
-        n_machines=2, vms=population(2), policy=consolidate_first_fit, dvfs=True
+    sim = Orchestrator(
+        n_machines=2, vms=population(2), policy="consolidate-ffd", dvfs=True
     )
     stats = sim.run(20.0)
     for stat in stats:

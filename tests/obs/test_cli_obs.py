@@ -99,7 +99,6 @@ def test_cluster_sweep_quiet_and_metrics(capsys, tmp_path):
     assert (
         main(
             [
-                "cluster",
                 "sweep",
                 "--preset",
                 "dc-diurnal-small",

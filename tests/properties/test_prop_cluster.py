@@ -2,15 +2,7 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro.cluster import (
-    ClusterSim,
-    ClusterVM,
-    consolidate_first_fit,
-    Machine,
-    MachineSpec,
-    PlacementError,
-    spread_round_robin,
-)
+from repro.cluster import ClusterVM, Orchestrator, PlacementError
 
 
 @st.composite
@@ -31,59 +23,57 @@ def populations(draw):
     return vms
 
 
-def fleet(n=6, memory=16384):
-    return [Machine(f"m{i}", MachineSpec(memory_mb=memory)) for i in range(n)]
+def fleet(vms, policy, dvfs=True, duration=10.0):
+    """Six 16 GB machines under *policy*, run for *duration* seconds."""
+    sim = Orchestrator(n_machines=6, vms=vms, policy=policy, dvfs=dvfs)
+    sim.run(duration)
+    return sim
 
 
 @given(vms=populations())
 @settings(max_examples=40, deadline=None)
 def test_consolidation_never_violates_memory(vms):
-    machines = fleet()
     try:
-        consolidate_first_fit(machines, vms)
+        sim = fleet(vms, "consolidate-ffd")
     except PlacementError:
         return
-    for machine in machines:
+    for machine in sim.machines:
         assert machine.memory_used_mb <= machine.spec.memory_mb
 
 
 @given(vms=populations())
 @settings(max_examples=40, deadline=None)
 def test_every_vm_placed_exactly_once(vms):
-    machines = fleet()
     try:
-        consolidate_first_fit(machines, vms)
+        sim = fleet(vms, "consolidate-ffd")
     except PlacementError:
         return
-    placed = [vm.name for machine in machines for vm in machine.vms]
+    placed = [vm.name for machine in sim.machines for vm in machine.vms]
     assert sorted(placed) == sorted(vm.name for vm in vms)
 
 
 @given(vms=populations())
 @settings(max_examples=40, deadline=None)
 def test_consolidation_uses_no_more_machines_than_spread(vms):
-    packed, spread = fleet(), fleet()
     try:
-        used_packed = consolidate_first_fit(packed, vms)
-        spread_round_robin(spread, vms)
+        packed = fleet(vms, "consolidate-ffd")
+        spread = fleet(vms, "spread")
     except PlacementError:
         return
-    used_spread = sum(1 for machine in spread if machine.powered_on)
-    assert used_packed <= used_spread
+
+    # A machine that drew power this epoch was on while the fleet served.
+    def burning(sim):
+        return sum(1 for machine in sim.machines if machine.energy_joules > 0.0)
+
+    assert burning(packed) <= burning(spread) == len(spread.machines)
 
 
 @given(vms=populations())
 @settings(max_examples=25, deadline=None)
 def test_fleet_energy_with_dvfs_never_exceeds_without(vms):
     try:
-        with_dvfs = ClusterSim(
-            n_machines=6, vms=vms, policy=consolidate_first_fit, dvfs=True
-        )
-        without = ClusterSim(
-            n_machines=6, vms=vms, policy=consolidate_first_fit, dvfs=False
-        )
-        with_dvfs.run(50.0)
-        without.run(50.0)
+        with_dvfs = fleet(vms, "consolidate-ffd", dvfs=True, duration=50.0)
+        without = fleet(vms, "consolidate-ffd", dvfs=False, duration=50.0)
     except PlacementError:
         return
     assert with_dvfs.fleet_energy_joules <= without.fleet_energy_joules + 1e-6
@@ -93,8 +83,7 @@ def test_fleet_energy_with_dvfs_never_exceeds_without(vms):
 @settings(max_examples=25, deadline=None)
 def test_served_never_exceeds_demand(vms):
     try:
-        sim = ClusterSim(n_machines=6, vms=vms, policy=consolidate_first_fit, dvfs=True)
-        sim.run(50.0)
+        sim = fleet(vms, "consolidate-ffd", duration=50.0)
     except PlacementError:
         return
     for stat in sim.stats:

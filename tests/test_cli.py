@@ -73,7 +73,9 @@ def test_sweep_command_json_grid(capsys, tmp_path):
     assert main(["sweep", "--grid", _FAST_GRID, "--out", str(out_path)]) == 0
     out = capsys.readouterr().out
     assert "4 cells" in out
-    assert "energy_joules" in out
+    # Host cells carry host columns and a J energy-by-axis line.
+    assert "energy_joules" in out and "energy_kwh" not in out
+    assert "mean energy by scheduler:" in out and " J over " in out
     text = out_path.read_text()
     assert '"scheduler=pas,' in text
 
@@ -474,25 +476,18 @@ def test_cluster_compare_rejects_bad_replicates(capsys):
 
 def test_cluster_sweep_store_resumes_warm(capsys, tmp_path):
     store = str(tmp_path / "store")
-    assert main(["cluster", "sweep", "--preset", "dc-diurnal-small", "--store", store]) == 0
+    assert main(["sweep", "--preset", "dc-diurnal-small", "--store", store]) == 0
     capsys.readouterr()
     assert (
-        main(
-            [
-                "cluster",
-                "sweep",
-                "--preset",
-                "dc-diurnal-small",
-                "--store",
-                store,
-                "--resume",
-            ]
-        )
+        main(["sweep", "--preset", "dc-diurnal-small", "--store", store, "--resume"])
         == 0
     )
     out = capsys.readouterr().out
     assert "4 cells warm, 0 computed" in out
-    assert "energy_kwh" in out
+    # Fleet cells carry fleet columns and a Wh energy-by-axis line.
+    assert "energy_kwh" in out and "hosts_on_mean" in out
+    assert "v20_global_both" not in out
+    assert "mean fleet energy by policy:" in out and " Wh over " in out
 
 
 def test_run_routes_cluster_presets(capsys):
@@ -517,7 +512,7 @@ def _populate_mixed_store(tmp_path):
         '"v20_active": [[10.0, 50.0]], "v70_active": [[20.0, 40.0]]}'
     )
     assert main(["sweep", "--grid", grid, "--store", store]) == 0
-    assert main(["cluster", "sweep", "--preset", "dc-diurnal-small", "--store", store]) == 0
+    assert main(["sweep", "--preset", "dc-diurnal-small", "--store", store]) == 0
     return store
 
 

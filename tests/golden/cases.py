@@ -42,6 +42,21 @@ CLUSTER_CASES: dict[str, tuple[str, dict]] = {
         "dc-diurnal-small",
         {"policy": "spread", "n_vms": 3},
     ),
+    "dc-diurnal-small.power-budget": (
+        "dc-diurnal-small",
+        {"policy": "power-budget"},
+    ),
+    "dc-diurnal-small.load-balance": (
+        "dc-diurnal-small",
+        {"policy": "load-balance"},
+    ),
+    # 32 machines over 20 epochs: spill and drain fire many times, so the
+    # incremental planner's host bookkeeping is exercised at fleet scale.
+    "dc-fleet-large.consolidate": ("dc-fleet-large", {"policy": "consolidate"}),
+    "dc-fleet-large.power-budget": ("dc-fleet-large", {"policy": "power-budget"}),
+    # Mixed fleet under its default (efficiency) placement: the planner
+    # shops for headroom in a host order that is not name order.
+    "dc-hetero.consolidate": ("dc-hetero", {}),
 }
 
 #: Sweep cases: fixture stem -> preset name (serial cold run, JSON export).

@@ -180,25 +180,24 @@ def pack_first_fit(
     """
     loads: dict[str, float] = {machine.name: 0.0 for machine in machines}
     free_mb: dict[str, int] = {machine.name: machine.spec.memory_mb for machine in machines}
+    budgets: dict[str, float] = {
+        machine.name: limit_percent * (machine.capacity_percent / 100.0)
+        - machine.spec.overhead_percent
+        for machine in machines
+    }
     assignment: dict[str, str] = {}
     for vm in sorted(vms, key=lambda v: (-weight(v), v.name)):
         share = weight(vm)
-        placed = False
-        for machine in machines:
-            if vm.memory_mb > free_mb[machine.name]:
+        for name, budget in budgets.items():
+            if vm.memory_mb > free_mb[name]:
                 continue
-            budget = (
-                limit_percent * (machine.capacity_percent / 100.0)
-                - machine.spec.overhead_percent
-            )
-            if loads[machine.name] + share > budget and loads[machine.name] > 0.0:
+            if loads[name] + share > budget and loads[name] > 0.0:
                 continue
-            assignment[vm.name] = machine.name
-            loads[machine.name] += share
-            free_mb[machine.name] -= vm.memory_mb
-            placed = True
+            assignment[vm.name] = name
+            loads[name] += share
+            free_mb[name] -= vm.memory_mb
             break
-        if not placed:
+        else:
             raise PlacementError(
                 f"VM {vm.name!r} ({vm.memory_mb} MB) fits no machine"
             )
@@ -250,6 +249,13 @@ class _FleetState:
     the orchestrator (which executes only the diff).  *order* is the host
     preference used when shopping for headroom (default: name order, which
     every placement order degenerates to on a homogeneous fleet).
+
+    A host→VMs index, kept in step by :meth:`move`, answers
+    :meth:`vms_on` and the used/empty split in O(VMs on that host) rather
+    than a scan of the whole assignment.  Each host's VMs sit in an
+    insertion-ordered dict: the VMs placed there at construction in
+    *current* order, then arrivals in the order they were moved in — so
+    :meth:`vms_on` never depends on ``PYTHONHASHSEED``.
     """
 
     def __init__(
@@ -257,6 +263,7 @@ class _FleetState:
         machines: Sequence[Machine],
         vms: Sequence[ClusterVM],
         demands: Mapping[str, float],
+        current: Assignment,
         *,
         order: Sequence[Machine] | None = None,
     ) -> None:
@@ -268,7 +275,8 @@ class _FleetState:
             if order is not None
             else sorted(machine.name for machine in machines)
         )
-        self.assignment = current_assignment(machines)
+        self.assignment = dict(current)
+        self._on: dict[str, dict[str, None]] = {name: {} for name in self._machines}
         self._loads: dict[str, float] = {name: 0.0 for name in self._machines}
         self._capacity_scale: dict[str, float] = {
             name: machine.capacity_percent / 100.0
@@ -278,6 +286,7 @@ class _FleetState:
             name: machine.spec.memory_mb for name, machine in self._machines.items()
         }
         for vm_name, machine_name in self.assignment.items():
+            self._on[machine_name][vm_name] = None
             self._loads[machine_name] += demands[vm_name]
             self._free_mb[machine_name] -= self._vms[vm_name].memory_mb
 
@@ -285,10 +294,10 @@ class _FleetState:
         return list(self._machines)
 
     def used_hosts(self) -> int:
-        return len(set(self.assignment.values()))
+        return sum(1 for on in self._on.values() if on)
 
     def vms_on(self, machine_name: str) -> list[str]:
-        return [vm for vm, host in self.assignment.items() if host == machine_name]
+        return list(self._on[machine_name])
 
     def demand(self, vm_name: str) -> float:
         return self._demands[vm_name]
@@ -317,6 +326,8 @@ class _FleetState:
         self._loads[dest] += self._demands[vm_name]
         self._free_mb[dest] -= self._vms[vm_name].memory_mb
         self.assignment[vm_name] = dest
+        del self._on[source][vm_name]
+        self._on[dest][vm_name] = None
 
     def host_with_headroom(
         self,
@@ -334,8 +345,8 @@ class _FleetState:
         a small blade fills up (proportionally) as fast as a big one.
         """
         share = self._demands[vm_name]
-        used = [n for n in self._order if n != exclude and self.vms_on(n)]
-        empty = [n for n in self._order if n != exclude and not self.vms_on(n)]
+        used = [n for n in self._order if n != exclude and self._on[n]]
+        empty = [n for n in self._order if n != exclude and not self._on[n]]
         for name in used + ([] if powered_only else empty):
             budget = limit_percent * self._capacity_scale[name] - self.overhead(name)
             if self.fits(vm_name, name) and self._loads[name] + share <= budget:
@@ -422,8 +433,18 @@ class ConsolidatePolicy(OrchestrationPolicy):
         self._shrink_streak = 0
 
     def plan(self, machines, vms, *, time, epoch_index, epoch_s, dvfs) -> EpochPlan:
-        demands = _demands(vms, time)
-        current = current_assignment(machines)
+        return self._place(
+            machines, vms, _demands(vms, time), current_assignment(machines)
+        )
+
+    def _place(
+        self,
+        machines: Sequence[Machine],
+        vms: Sequence[ClusterVM],
+        demands: Mapping[str, float],
+        current: Assignment,
+    ) -> EpochPlan:
+        """The placement half of :meth:`plan`, from this epoch's *demands*."""
         if set(current) != {vm.name for vm in vms}:
             # First epoch, or the VM population changed: pack from scratch.
             self._shrink_streak = 0
@@ -435,7 +456,9 @@ class ConsolidatePolicy(OrchestrationPolicy):
                     limit_percent=self.target_percent,
                 )
             )
-        state = _FleetState(machines, vms, demands, order=self._order(machines))
+        state = _FleetState(
+            machines, vms, demands, current, order=self._order(machines)
+        )
         moved = self._spill(state)
         if moved:
             self._shrink_streak = 0
@@ -525,7 +548,7 @@ class LoadBalancePolicy(OrchestrationPolicy):
             return EpochPlan(
                 assignment=pack_balanced(machines, vms, lambda vm: demands[vm.name])
             )
-        state = _FleetState(machines, vms, demands)
+        state = _FleetState(machines, vms, demands, current)
         moved = False
         for _ in range(self.max_moves_per_epoch):
             hosts = sorted(state.hosts())
@@ -600,15 +623,9 @@ class PowerBudgetPolicy(ConsolidatePolicy):
         self.budget_w = check_positive(budget_w, "budget_w")
 
     def plan(self, machines, vms, *, time, epoch_index, epoch_s, dvfs) -> EpochPlan:
-        placement = super().plan(
-            machines,
-            vms,
-            time=time,
-            epoch_index=epoch_index,
-            epoch_s=epoch_s,
-            dvfs=dvfs,
-        )
+        demands = _demands(vms, time)
         current = current_assignment(machines)
+        placement = self._place(machines, vms, demands, current)
         assignment = (
             placement.assignment if placement.assignment is not None else current
         )
@@ -620,7 +637,6 @@ class PowerBudgetPolicy(ConsolidatePolicy):
             if current.get(vm_name) not in (None, dest)
             for host in (current[vm_name], dest)
         }
-        demands = _demands(vms, time)
         hosted: dict[str, float] = {}
         for vm_name, machine_name in assignment.items():
             hosted[machine_name] = hosted.get(machine_name, 0.0) + demands[vm_name]
@@ -643,14 +659,19 @@ class PowerBudgetPolicy(ConsolidatePolicy):
                 full_util=machine_name in migrating,
             )
 
-        while sum(predicted(name) for name in chosen) > self.budget_w:
+        # Only the host just stepped down changes its prediction; the cache
+        # keeps *chosen*'s order, so the sum adds the same floats in the
+        # same order as a fresh recomputation would.
+        watts = {name: predicted(name) for name in chosen}
+        while sum(watts.values()) > self.budget_w:
             candidates = [
                 name for name in chosen if chosen[name] > by_name[name].min_freq_mhz
             ]
             if not candidates:
                 break  # cap infeasible even at the floor; nothing left to shed
-            hottest = max(candidates, key=lambda name: (predicted(name), name))
+            hottest = max(candidates, key=lambda name: (watts[name], name))
             chosen[hottest] = by_name[hottest].step_down_choice(chosen[hottest])
+            watts[hottest] = predicted(hottest)
         return EpochPlan(
             assignment=placement.assignment,
             freq_floors=dict(chosen),

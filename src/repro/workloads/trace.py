@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import math
 import pathlib
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -138,6 +139,7 @@ class TraceLoad(Workload):
         if len(set(starts)) != len(starts):
             raise WorkloadError(f"duplicate trace point times: {starts}")
         self._points: tuple[TracePoint, ...] = tuple(ordered)
+        self._starts: tuple[float, ...] = tuple(starts)
         self.injection_period = check_positive(injection_period, "injection_period")
         self.repeat = repeat
         self._timer: PeriodicTimer | None = None
@@ -155,15 +157,12 @@ class TraceLoad(Workload):
 
     def demand_at(self, time: float) -> float:
         """Demand in percent at *time* (with wrap-around when repeating)."""
-        if self.repeat and self.duration > 0:
-            time = time % self.duration
-        demand = 0.0
-        for point in self._points:
-            if time >= point.start:
-                demand = point.percent
-            else:
-                break
-        return demand
+        duration = self._starts[-1]
+        if self.repeat and duration > 0:
+            time = time % duration
+        # The last point starting at or before *time* (starts are unique).
+        index = bisect_right(self._starts, time)
+        return self._points[index - 1].percent if index else 0.0
 
     def start(self) -> None:
         self._timer = PeriodicTimer(

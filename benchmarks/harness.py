@@ -38,6 +38,7 @@ runner does not read as a code-level regression.
 from __future__ import annotations
 
 import json
+import math
 import pathlib
 import platform
 import subprocess
@@ -263,6 +264,41 @@ def _bench_hetero_fleet() -> dict:
     }
 
 
+#: Fleet sizes of the ``fleet-scaling`` bench, as multiples of ``dc-fleet-large``.
+FLEET_SCALES = (1, 4, 16)
+
+
+def _bench_fleet_scaling() -> dict:
+    """``dc-fleet-large`` under ``consolidate`` at 32, 128 and 512 hosts.
+
+    VMs scale with the hosts (3 per machine).  Records each point's wall
+    time per run and the growth exponent *k* of ``wall ∝ hosts^k`` fitted
+    to the two largest points, where fixed per-run costs no longer
+    dominate: 1.0 is linear planning.  Smaller fleets run proportionally
+    more often, so every point times the same host-epochs: a short run
+    cannot land wholly in a quiet spell of a shared machine and bend the
+    exponent.
+    """
+    from repro.cluster.scenario import run_cluster_scenario
+    from repro.experiments import get_preset
+
+    base = get_preset("dc-fleet-large").config.with_changes(policy="consolidate")
+    walls: dict[int, float] = {}
+    for scale in FLEET_SCALES:
+        config = base.with_changes(
+            n_machines=base.n_machines * scale, n_vms=base.n_vms * scale
+        )
+        runs = max(FLEET_SCALES) // scale
+        started = time.perf_counter()
+        for _ in range(runs):
+            run_cluster_scenario(config)
+        walls[config.n_machines] = (time.perf_counter() - started) / runs
+    (small, small_s), (large, large_s) = sorted(walls.items())[-2:]
+    metrics: dict = {f"wall_s_h{hosts}": wall for hosts, wall in walls.items()}
+    metrics["growth_exponent"] = math.log(large_s / small_s) / math.log(large / small)
+    return metrics
+
+
 #: Native benches in run order: name -> callable returning a metrics dict.
 NATIVE_BENCHES: dict[str, Callable[[], dict]] = {
     "calibration": _bench_calibration,
@@ -273,6 +309,7 @@ NATIVE_BENCHES: dict[str, Callable[[], dict]] = {
     "store-warm": _bench_store_warm,
     "dc-diurnal-small": _bench_cluster_epoch,
     "dc-hetero": _bench_hetero_fleet,
+    "fleet-scaling": _bench_fleet_scaling,
 }
 
 
@@ -409,8 +446,10 @@ def compare_reports(
     """Gate *current* against *baseline* on per-bench wall time.
 
     Returns ``(lines, regressed)``: human-readable comparison lines for
-    every shared bench, and the names of benches that regressed beyond
-    *max_regress* (or failed / went missing outright).  When both reports
+    every shared bench, plus an informational ``UNGATED`` line for each
+    current bench the baseline lacks, and the names of benches that
+    regressed beyond *max_regress* (or failed / went missing outright).
+    Ungated benches never count as regressions.  When both reports
     carry the ``calibration`` bench and *normalize* is on, baseline wall
     times are scaled by the machines' calibration ratio first.  Every
     limit gets :data:`GRACE_SECONDS` of absolute slack so
@@ -456,6 +495,8 @@ def compare_reports(
             f"{name}: {cur['wall_s']:.3f}s vs baseline {base['wall_s']:.3f}s "
             f"(x{ratio:.2f}) {verdict}"
         )
+    for name in sorted(cur_benches.keys() - base_benches.keys() - {"calibration"}):
+        lines.append(f"{name}: UNGATED (not in baseline)")
     return lines, regressed
 
 

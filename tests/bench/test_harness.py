@@ -104,6 +104,30 @@ def test_compare_calibration_itself_is_not_gated():
     assert regressed == []
 
 
+def test_compare_reports_benches_missing_from_baseline_as_ungated():
+    base = make_report({"a": 1.0}, calibration=1.0)
+    cur = make_report({"a": 1.0, "new": 9.0}, calibration=1.0)
+    lines, regressed = harness.compare_reports(cur, base, max_regress=0.1)
+    assert "new: UNGATED (not in baseline)" in lines
+    assert not any("calibration" in line and "UNGATED" in line for line in lines)
+    assert regressed == []
+
+
+def test_fleet_scaling_bench_records_points_and_exponent(monkeypatch):
+    import repro.cluster.scenario as scenario
+
+    sizes = []
+    monkeypatch.setattr(
+        scenario,
+        "run_cluster_scenario",
+        lambda config: sizes.append((config.n_machines, config.n_vms)),
+    )
+    metrics = harness.NATIVE_BENCHES["fleet-scaling"]()
+    # Equal work per point: 16 runs at 32 hosts, 4 at 128, 1 at 512.
+    assert sizes == [(32, 96)] * 16 + [(128, 384)] * 4 + [(512, 1536)]
+    assert set(metrics) == {"wall_s_h32", "wall_s_h128", "wall_s_h512", "growth_exponent"}
+
+
 # ------------------------------------------------------------- run_benches
 
 

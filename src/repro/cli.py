@@ -8,7 +8,7 @@ Examples::
     python -m repro validate eq1
     python -m repro ablation energy
     python -m repro calibrate "Intel Xeon E5-2620"
-    python -m repro scenario --scheduler pas --v20-load thrashing
+    python -m repro run --preset paper-5.3 --scheduler pas --v20-load thrashing
     python -m repro run --preset mixed-guests
     python -m repro run --scenario myfleet.json
     python -m repro sweep --workers 4 --out results.json
@@ -19,7 +19,7 @@ Examples::
     python -m repro store ls --store results-store
     python -m repro store ls --store results-store --where scheduler=pas
     python -m repro store export --store results-store --out corpus.csv --where governor=stable
-    python -m repro cluster run --preset dc-diurnal-small --out-series epochs.csv
+    python -m repro run --preset dc-diurnal-small --policy static --out-series epochs.csv
     python -m repro sweep --preset dc-diurnal --store results-store
     python -m repro cluster compare --preset dc-diurnal --out-dir dc-series
 
@@ -45,9 +45,6 @@ from .cpu import catalog
 from .errors import ConfigurationError, StoreError
 from .experiments import (
     get_preset,
-    PHASE_BOTH,
-    PHASE_SOLO_EARLY,
-    PHASE_SOLO_LATE,
     PRESETS,
     preset_grid,
     ScenarioConfig,
@@ -272,57 +269,6 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_scenario(args: argparse.Namespace) -> int:
-    config = ScenarioConfig(
-        scheduler=args.scheduler,
-        governor=args.governor,
-        v20_load=args.v20_load,
-        v70_load=args.v70_load,
-        duration=args.duration,
-        seed=args.seed,
-    )
-    result = run_scenario(config)
-    rows = []
-    for name in ("V20.global_load", "V20.absolute_load", "V70.global_load", "host.freq_mhz"):
-        rows.append(
-            [
-                name,
-                f"{result.phase_mean(name, PHASE_SOLO_EARLY):8.2f}",
-                f"{result.phase_mean(name, PHASE_BOTH):8.2f}",
-                f"{result.phase_mean(name, PHASE_SOLO_LATE):8.2f}",
-            ]
-        )
-    print(
-        table_to_text(
-            ["series", "V20 solo", "both", "V20 solo late"],
-            rows,
-            title=(
-                f"§5.3 scenario: scheduler={args.scheduler} governor={args.governor} "
-                f"v20={args.v20_load} v70={args.v70_load}"
-            ),
-        )
-    )
-    freq_percent = result.series("host.freq_mhz").map(
-        lambda mhz: 100.0 * mhz / result.host.processor.max_frequency_mhz
-    )
-    print()
-    print(
-        render_chart(
-            [
-                result.series("V20.global_load"),
-                result.series("V70.global_load"),
-                freq_percent,
-            ],
-            title="global loads + frequency",
-            y_max=100.0,
-            labels=["V20 %", "V70 %", "freq (% max)"],
-        )
-    )
-    print()
-    print(f"energy: {result.energy_joules:.0f} J   DVFS transitions: {result.frequency_transitions}")
-    return 0
-
-
 def _write_records_csv(records: list, path: str, what: str, fields: Sequence[str]) -> None:
     """Write flat records as CSV (a bare header when there are none)."""
     from .telemetry.export import records_to_csv
@@ -334,24 +280,22 @@ def _write_records_csv(records: list, path: str, what: str, fields: Sequence[str
     print(f"wrote {len(records)} {what} records to {target}")
 
 
-def _run_cluster_config(
-    config,
-    title: str,
-    out: str | None = None,
-    *,
-    out_series: str | None = None,
-    out_hosts: str | None = None,
-    out_migrations: str | None = None,
-    trace_out: str | None = None,
-    metrics_out: str | None = None,
-) -> int:
+def _write_spec(config, out: str | None) -> None:
+    """Save the resolved spec ``--out`` asked for (JSON, sorted keys)."""
+    if out:
+        path = pathlib.Path(out)
+        path.write_text(json.dumps(config.to_dict(), indent=2, sort_keys=True) + "\n")
+        print(f"wrote scenario spec to {path}")
+
+
+def _run_cluster_config(config, title: str, args: argparse.Namespace) -> int:
     """Run a fleet config and print its placement + per-epoch summary."""
     from .cluster.scenario import run_cluster_scenario
     from .obs import observed
     from .sweep.metrics import cluster_metrics
     from .telemetry.series import TimeSeries
 
-    tracer, registry = _observation_for(trace_out, metrics_out)
+    tracer, registry = _observation_for(args.trace, args.metrics_out)
     with observed(tracer=tracer, metrics=registry):
         sim = run_cluster_scenario(config)
     rows = [
@@ -415,23 +359,23 @@ def _run_cluster_config(
         MIGRATION_RECORD_FIELDS,
     )
 
-    if out_series:
+    if args.out_series:
         _write_records_csv(
-            sim.epoch_records(), out_series, "per-epoch", EPOCH_RECORD_FIELDS
+            sim.epoch_records(), args.out_series, "per-epoch", EPOCH_RECORD_FIELDS
         )
-    if out_hosts:
+    if args.out_hosts:
         _write_records_csv(
-            sim.host_records(), out_hosts, "per-host", HOST_RECORD_FIELDS
+            sim.host_records(), args.out_hosts, "per-host", HOST_RECORD_FIELDS
         )
-    if out_migrations:
+    if args.out_migrations:
         _write_records_csv(
-            sim.migration_records(), out_migrations, "migration", MIGRATION_RECORD_FIELDS
+            sim.migration_records(),
+            args.out_migrations,
+            "migration",
+            MIGRATION_RECORD_FIELDS,
         )
-    _write_observations(trace_out, metrics_out, tracer, registry, outcome=sim)
-    if out:
-        path = pathlib.Path(out)
-        path.write_text(json.dumps(config.to_dict(), indent=2, sort_keys=True) + "\n")
-        print(f"wrote scenario spec to {path}")
+    _write_observations(args.trace, args.metrics_out, tracer, registry, outcome=sim)
+    _write_spec(config, args.out)
     return 0
 
 
@@ -609,6 +553,81 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return 1 if findings else 0
 
 
+#: Override flags of the single-run commands: (flag, config field, type,
+#: help).  ``run`` defines them all, ``profile`` and ``cluster compare``
+#: the first two.  A flag whose field the spec's kind lacks fails with the
+#: config's own unknown-field message.
+_OVERRIDES = (
+    ("--duration", "duration", float, "override the spec's duration (sim seconds)"),
+    ("--seed", "seed", int, "override the spec's root seed"),
+    ("--scheduler", "scheduler", str, "host specs: override the scheduler"),
+    ("--governor", "governor", str, "host specs: override the cpufreq governor"),
+    ("--v20-load", "v20_load", str, "host specs: override V20's load (§5.3 profile)"),
+    ("--v70-load", "v70_load", str, "host specs: override V70's load (§5.3 profile)"),
+    ("--policy", "policy", str, "fleet specs: override the orchestration policy"),
+    ("--power-budget", "power_budget_w", float, "fleet specs: override the watt cap"),
+)
+
+#: ``run``'s output flags (by dest); like the overrides they apply to a
+#: single run, so ``--preset all`` rejects them.
+_RUN_OUTPUTS = ("out", "trace", "metrics_out", "out_series", "out_hosts", "out_migrations")
+
+
+def _add_overrides(parser: argparse.ArgumentParser, *flags: str) -> None:
+    """Add the named :data:`_OVERRIDES` flags (every one when none named)."""
+    for flag, field, kind, help_text in _OVERRIDES:
+        if not flags or flag in flags:
+            parser.add_argument(flag, dest=field, type=kind, default=None, help=help_text)
+
+
+def _resolve_spec(args: argparse.Namespace) -> tuple:
+    """``(config, title, slug)`` from ``--preset``/``--scenario`` + overrides.
+
+    The one place a single-run command reads its spec: a ``--scenario``
+    file dispatches on ``"kind": "cluster"``, then every override flag the
+    command defines goes through the config's ``with_changes``.  Raises
+    :class:`ConfigurationError` on any bad input.
+    """
+    if args.scenario:
+        path = pathlib.Path(args.scenario)
+        try:
+            data = json.loads(path.read_text())
+        except OSError as error:
+            raise ConfigurationError(f"cannot read {path}: {error}") from None
+        except json.JSONDecodeError as error:
+            raise ConfigurationError(f"{path} is not valid JSON: {error}") from None
+        if not isinstance(data, dict):
+            raise ConfigurationError(f"{path} must hold a JSON object (a scenario spec)")
+        if data.get("kind") == "cluster":
+            from .cluster import ClusterScenarioConfig
+
+            config = ClusterScenarioConfig.from_dict(data)
+        else:
+            config = ScenarioConfig.from_dict(data)
+        title, slug = f"scenario {path.name}", path.stem
+    else:
+        config = get_preset(args.preset).config
+        title, slug = f"preset {args.preset}", args.preset
+    overrides = {
+        field: getattr(args, field)
+        for _, field, _, _ in _OVERRIDES
+        if getattr(args, field, None) is not None
+    }
+    legacy = [
+        flag
+        for flag, field, _, _ in _OVERRIDES
+        if field in ("v20_load", "v70_load") and field in overrides
+    ]
+    if legacy and getattr(config, "guests", ()):
+        raise ConfigurationError(
+            f"{'/'.join(legacy)} would change nothing: {title} lists its guests "
+            "explicitly, and the V20/V70 loads only shape the §5.3 two-guest profile"
+        )
+    if overrides:
+        config = config.with_changes(**overrides)
+    return config, title, slug
+
+
 #: Presets too big for a smoke pass (skipped by ``run --preset all``).
 _XLARGE_PRESETS = ("dc-fleet-large",)
 
@@ -624,10 +643,11 @@ def _run_all_presets(args: argparse.Namespace) -> int:
     ``--include-cluster``.  One status line per preset; exit 1 when any
     preset failed.
     """
-    if args.trace or args.metrics_out or args.out:
+    given = [flag for flag, field, _, _ in _OVERRIDES if getattr(args, field) is not None]
+    given += ["--" + dest.replace("_", "-") for dest in _RUN_OUTPUTS if getattr(args, dest)]
+    if given:
         print(
-            "run: --trace/--metrics-out/--out apply to a single run, "
-            "not --preset all",
+            f"run: --preset all takes no single-run flags; drop {', '.join(given)}",
             file=sys.stderr,
         )
         return 2
@@ -669,45 +689,17 @@ def _run_all_presets(args: argparse.Namespace) -> int:
 def _cmd_run(args: argparse.Namespace) -> int:
     if args.preset == "all":
         return _run_all_presets(args)
+    from .cluster import ClusterScenarioConfig
+
     try:
-        if args.scenario:
-            path = pathlib.Path(args.scenario)
-            try:
-                data = json.loads(path.read_text())
-            except OSError as error:
-                print(f"run: cannot read {path}: {error}", file=sys.stderr)
-                return 2
-            except json.JSONDecodeError as error:
-                print(f"run: {path} is not valid JSON: {error}", file=sys.stderr)
-                return 2
-            if not isinstance(data, dict):
-                print(f"run: {path} must hold a JSON object (a scenario spec)", file=sys.stderr)
-                return 2
-            if data.get("kind") == "cluster":
-                from .cluster import ClusterScenarioConfig
-
-                return _run_cluster_config(
-                    ClusterScenarioConfig.from_dict(data),
-                    f"scenario {path.name}",
-                    args.out,
-                    trace_out=args.trace,
-                    metrics_out=args.metrics_out,
-                )
-            config = ScenarioConfig.from_dict(data)
-            title = f"scenario {path.name}"
-        else:
-            config = get_preset(args.preset).config
-            title = f"preset {args.preset}"
-            from .cluster import ClusterScenarioConfig
-
-            if isinstance(config, ClusterScenarioConfig):
-                return _run_cluster_config(
-                    config,
-                    title,
-                    args.out,
-                    trace_out=args.trace,
-                    metrics_out=args.metrics_out,
-                )
+        config, title, _ = _resolve_spec(args)
+        if isinstance(config, ClusterScenarioConfig):
+            return _run_cluster_config(config, title, args)
+        if args.out_series or args.out_hosts or args.out_migrations:
+            raise ConfigurationError(
+                f"--out-series/--out-hosts/--out-migrations need a kind:cluster "
+                f"spec; {title} runs one host"
+            )
         from .obs import observed
 
         tracer, registry = _observation_for(args.trace, args.metrics_out)
@@ -756,52 +748,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
         f"DVFS transitions: {result.frequency_transitions}"
     )
     _write_observations(args.trace, args.metrics_out, tracer, registry, outcome=result)
-    if args.out:
-        path = pathlib.Path(args.out)
-        path.write_text(json.dumps(config.to_dict(), indent=2, sort_keys=True) + "\n")
-        print(f"wrote scenario spec to {path}")
+    _write_spec(config, args.out)
     return 0
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
+    from .cluster import ClusterScenarioConfig
     from .obs import profile_cluster, profile_scenario
 
     try:
-        if args.scenario:
-            path = pathlib.Path(args.scenario)
-            try:
-                data = json.loads(path.read_text())
-            except OSError as error:
-                print(f"profile: cannot read {path}: {error}", file=sys.stderr)
-                return 2
-            except json.JSONDecodeError as error:
-                print(f"profile: {path} is not valid JSON: {error}", file=sys.stderr)
-                return 2
-            if not isinstance(data, dict):
-                print(
-                    f"profile: {path} must hold a JSON object (a scenario spec)",
-                    file=sys.stderr,
-                )
-                return 2
-            if data.get("kind") == "cluster":
-                from .cluster import ClusterScenarioConfig
-
-                config = ClusterScenarioConfig.from_dict(data)
-            else:
-                config = ScenarioConfig.from_dict(data)
-            title = f"scenario {path.name}"
-        else:
-            config = get_preset(args.preset).config
-            title = f"preset {args.preset}"
-        overrides = {}
-        if args.duration is not None:
-            overrides["duration"] = args.duration
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        if overrides:
-            config = config.with_changes(**overrides)
-        from .cluster import ClusterScenarioConfig
-
+        config, title, _ = _resolve_spec(args)
         if isinstance(config, ClusterScenarioConfig):
             _, profiler = profile_cluster(config)
         else:
@@ -1107,67 +1063,6 @@ def _cmd_store(args: argparse.Namespace) -> int:
     raise AssertionError(f"unhandled store action {args.action!r}")  # pragma: no cover
 
 
-def _cluster_config_from_args(args: argparse.Namespace):
-    """Resolve a cluster config + title from --preset/--scenario and overrides."""
-    from .cluster import ClusterScenarioConfig
-
-    if getattr(args, "scenario", None):
-        path = pathlib.Path(args.scenario)
-        try:
-            data = json.loads(path.read_text())
-        except OSError as error:
-            raise ConfigurationError(f"cannot read {path}: {error}") from None
-        except json.JSONDecodeError as error:
-            raise ConfigurationError(f"{path} is not valid JSON: {error}") from None
-        if not isinstance(data, dict) or data.get("kind") != "cluster":
-            raise ConfigurationError(
-                f"{path} is not a cluster scenario spec (needs \"kind\": \"cluster\")"
-            )
-        config = ClusterScenarioConfig.from_dict(data)
-        title = f"scenario {path.name}"
-        slug = path.stem
-    else:
-        preset = get_preset(args.preset)
-        if preset.kind != "cluster":
-            raise ConfigurationError(
-                f"preset {preset.name!r} is kind:{preset.kind}; the cluster "
-                "commands need a kind:cluster preset (see sweep --list-presets)"
-            )
-        config = preset.config
-        title = f"preset {args.preset}"
-        slug = args.preset
-    overrides = {}
-    if getattr(args, "policy", None):
-        overrides["policy"] = args.policy
-    if getattr(args, "duration", None) is not None:
-        overrides["duration"] = args.duration
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "power_budget", None) is not None:
-        overrides["power_budget_w"] = args.power_budget
-    if overrides:
-        config = config.with_changes(**overrides)
-    return config, title, slug
-
-
-def _cmd_cluster_run(args: argparse.Namespace) -> int:
-    try:
-        config, title, _ = _cluster_config_from_args(args)
-        return _run_cluster_config(
-            config,
-            title,
-            args.out,
-            out_series=args.out_series,
-            out_hosts=args.out_hosts,
-            out_migrations=args.out_migrations,
-            trace_out=args.trace,
-            metrics_out=args.metrics_out,
-        )
-    except ConfigurationError as error:
-        print(f"cluster run: {error}", file=sys.stderr)
-        return 2
-
-
 def _replicate_seeds(root_seed: int, policy: str, replicates: int) -> list[int]:
     """Per-replicate seeds, mirroring the sweep convention.
 
@@ -1194,6 +1089,7 @@ def _format_ci(mean: float, ci95: float, digits: int, *, scale: float = 1.0) -> 
 
 
 def _cmd_cluster_compare(args: argparse.Namespace) -> int:
+    from .cluster import ClusterScenarioConfig
     from .cluster.policies import policy_names
     from .cluster.scenario import run_cluster_scenario
     from .sweep.metrics import cluster_metrics
@@ -1205,7 +1101,12 @@ def _cmd_cluster_compare(args: argparse.Namespace) -> int:
             raise ConfigurationError(
                 f"--replicates must be >= 1, got {args.replicates}"
             )
-        config, title, slug = _cluster_config_from_args(args)
+        config, title, slug = _resolve_spec(args)
+        if not isinstance(config, ClusterScenarioConfig):
+            raise ConfigurationError(
+                f"{title} is a single-host spec; cluster compare needs a "
+                "kind:cluster spec (see sweep --list-presets)"
+            )
         if args.policies:
             policies = [p.strip() for p in args.policies.split(",") if p.strip()]
             if "power-budget" in policies and config.power_budget_w is None:
@@ -1345,55 +1246,15 @@ def _cmd_cluster_compare(args: argparse.Namespace) -> int:
 def _add_cluster_parser(commands) -> None:
     cluster = commands.add_parser(
         "cluster",
-        help="datacenter orchestration: run or compare fleet scenarios",
+        help="datacenter orchestration: compare policies over one fleet",
         description=(
-            "Drive the epoch-driven orchestration subsystem: run one fleet "
-            "scenario with per-epoch/per-host telemetry exports, or compare "
-            "every registered orchestration policy over one fleet.  Sweep a "
+            "Compare every registered orchestration policy over one fleet "
+            "scenario.  Run one fleet with `run --preset` (per-epoch/per-host "
+            "telemetry exports via --out-series/--out-hosts); sweep a "
             "kind:cluster preset grid with `sweep --preset`."
         ),
     )
     actions = cluster.add_subparsers(dest="action", required=True)
-
-    c_run = actions.add_parser(
-        "run", help="run one fleet scenario and print placement + telemetry"
-    )
-    source = c_run.add_mutually_exclusive_group(required=True)
-    source.add_argument("--preset", help="a kind:cluster preset name")
-    source.add_argument("--scenario", help="path to a cluster scenario-spec JSON file")
-    c_run.add_argument("--policy", default=None, help="override the orchestration policy")
-    c_run.add_argument("--duration", type=float, default=None)
-    c_run.add_argument("--seed", type=int, default=None)
-    c_run.add_argument(
-        "--power-budget",
-        dest="power_budget",
-        type=float,
-        default=None,
-        help="override the cluster watt cap (power-budget policy)",
-    )
-    c_run.add_argument(
-        "--out-series", default=None, help="write the per-epoch fleet series CSV to PATH"
-    )
-    c_run.add_argument(
-        "--out-hosts", default=None, help="write the per-host per-epoch series CSV to PATH"
-    )
-    c_run.add_argument(
-        "--out-migrations", default=None, help="write the migration-event CSV to PATH"
-    )
-    c_run.add_argument("--out", default=None, help="also write the resolved spec to PATH")
-    c_run.add_argument(
-        "--trace",
-        default=None,
-        metavar="PATH",
-        help="write a sim-time Chrome trace-event JSON (Perfetto-loadable) to PATH",
-    )
-    c_run.add_argument(
-        "--metrics-out",
-        default=None,
-        metavar="PATH",
-        help="write the runtime-metrics snapshot JSON to PATH",
-    )
-    c_run.set_defaults(fn=_cmd_cluster_run)
 
     c_compare = actions.add_parser(
         "compare",
@@ -1409,8 +1270,7 @@ def _add_cluster_parser(commands) -> None:
         default=None,
         help="comma-separated policy subset (default: the whole registry)",
     )
-    c_compare.add_argument("--duration", type=float, default=None)
-    c_compare.add_argument("--seed", type=int, default=None)
+    _add_overrides(c_compare, "--duration", "--seed")
     c_compare.add_argument(
         "--replicates",
         type=int,
@@ -1469,31 +1329,15 @@ def build_parser() -> argparse.ArgumentParser:
     calibrate.add_argument("processor", nargs="?", default=catalog.OPTIPLEX_755.name)
     calibrate.set_defaults(fn=_cmd_calibrate)
 
-    scenario = commands.add_parser("scenario", help="run a custom §5.3 scenario")
-    scenario.add_argument("--scheduler", default="pas", choices=["credit", "credit2", "sedf", "pas"])
-    scenario.add_argument(
-        "--governor",
-        default="stable",
-        choices=["performance", "powersave", "userspace", "ondemand", "conservative", "stable"],
-    )
-    scenario.add_argument(
-        "--v20-load", default="exact", choices=["exact", "near_exact", "thrashing", "idle"]
-    )
-    scenario.add_argument(
-        "--v70-load", default="exact", choices=["exact", "near_exact", "thrashing", "idle"]
-    )
-    scenario.add_argument("--duration", type=float, default=800.0)
-    scenario.add_argument("--seed", type=int, default=1)
-    scenario.set_defaults(fn=_cmd_scenario)
-
     run = commands.add_parser(
         "run",
         help="run a named preset or a scenario-spec JSON file",
         description=(
-            "Run one declarative scenario end-to-end and print a per-guest "
-            "summary.  The scenario comes from --preset (see 'sweep "
+            "Run one declarative scenario end-to-end: a host spec prints a "
+            "per-guest summary, a kind:cluster spec its placement and fleet "
+            "telemetry.  The scenario comes from --preset (see 'sweep "
             "--list-presets') or from --scenario, a JSON file in the "
-            "ScenarioConfig.to_dict() format (arbitrary guest fleets)."
+            "to_dict() format; the override flags change one field of it."
         ),
     )
     source = run.add_mutually_exclusive_group(required=True)
@@ -1521,6 +1365,25 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="write the runtime-metrics snapshot JSON to PATH",
     )
+    run.add_argument(
+        "--out-series",
+        default=None,
+        metavar="PATH",
+        help="fleet specs: write the per-epoch fleet series CSV to PATH",
+    )
+    run.add_argument(
+        "--out-hosts",
+        default=None,
+        metavar="PATH",
+        help="fleet specs: write the per-host per-epoch series CSV to PATH",
+    )
+    run.add_argument(
+        "--out-migrations",
+        default=None,
+        metavar="PATH",
+        help="fleet specs: write the migration-event CSV to PATH",
+    )
+    _add_overrides(run)
     run.set_defaults(fn=_cmd_run)
 
     profile = commands.add_parser(
@@ -1536,8 +1399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_source = profile.add_mutually_exclusive_group(required=True)
     p_source.add_argument("--preset", help="preset name (see sweep --list-presets)")
     p_source.add_argument("--scenario", help="path to a scenario-spec JSON file")
-    profile.add_argument("--duration", type=float, default=None)
-    profile.add_argument("--seed", type=int, default=None)
+    _add_overrides(profile, "--duration", "--seed")
     profile.set_defaults(fn=_cmd_profile)
 
     sweep = commands.add_parser(

@@ -1,8 +1,8 @@
-"""Declarative configuration for fleet-scale cluster runs.
+"""Declarative configuration for fleet-scale cluster simulations.
 
 The §2.3 consolidation ablation originally hand-built its fleet inline.
 This module turns that setup into a frozen, picklable config —
-:class:`ClusterScenarioConfig` — so cluster runs can be enumerated by the
+:class:`ClusterScenarioConfig` — so fleet runs can be enumerated by the
 sweep subsystem (:mod:`repro.sweep`) exactly like single-host
 :class:`~repro.experiments.scenario.ScenarioConfig` runs: every field is an
 axis a grid can vary, and :func:`run_cluster_scenario` is the one-shot
@@ -131,7 +131,13 @@ class ClusterScenarioConfig:
             )
 
     def with_changes(self, **changes) -> "ClusterScenarioConfig":
-        """A copy with the given fields replaced."""
+        """A copy with the given fields replaced.
+
+        Unknown field names raise the same :class:`ConfigurationError` as
+        :meth:`from_dict` (not a bare ``TypeError``), so preset/CLI
+        overrides fail with an actionable message.
+        """
+        _reject_unknown(changes)
         return replace(self, **changes)
 
     def effective_machines(self) -> tuple[MachineSpec, ...]:
@@ -241,13 +247,7 @@ class ClusterScenarioConfig:
             )
         if "epoch" in kwargs and "epoch_s" not in kwargs:
             kwargs["epoch_s"] = kwargs.pop("epoch")
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(kwargs) - known)
-        if unknown:
-            raise ConfigurationError(
-                f"unknown cluster scenario field(s) {', '.join(map(repr, unknown))}; "
-                f"valid fields: {', '.join(f.name for f in dataclasses.fields(cls))}"
-            )
+        _reject_unknown(kwargs)
         processor = kwargs.get("processor")
         if isinstance(processor, str):
             kwargs["processor"] = catalog.processor_from_name(processor)
@@ -258,6 +258,16 @@ class ClusterScenarioConfig:
                 for group in machines
             )
         return cls(**kwargs)
+
+
+def _reject_unknown(data: Mapping[str, Any]) -> None:
+    fields = [f.name for f in dataclasses.fields(ClusterScenarioConfig)]
+    unknown = sorted(set(data) - set(fields))
+    if unknown:
+        raise ConfigurationError(
+            f"unknown cluster scenario field(s) {', '.join(map(repr, unknown))}; "
+            f"valid fields: {', '.join(fields)}"
+        )
 
 
 def make_population(config: ClusterScenarioConfig) -> list[ClusterVM]:

@@ -34,6 +34,17 @@ def test_from_dict_rejects_unknown_fields():
         ClusterScenarioConfig.from_dict({"kind": "cluster", "warp_factor": 9})
 
 
+def test_with_changes_rejects_unknown_fields():
+    from repro.experiments import preset_config
+
+    config = preset_config("dc-diurnal-small")
+    with pytest.raises(
+        ConfigurationError, match="unknown cluster scenario field.*'scheduler'"
+    ):
+        config.with_changes(scheduler="pas")
+    assert config.with_changes(policy="static").policy == "static"
+
+
 def test_from_dict_rejects_wrong_kind():
     with pytest.raises(ConfigurationError, match="kind="):
         ClusterScenarioConfig.from_dict({"kind": "scenario"})

@@ -39,7 +39,6 @@ def test_cluster_run_trace_and_metrics(capsys, tmp_path):
     assert (
         main(
             [
-                "cluster",
                 "run",
                 "--preset",
                 "dc-diurnal-small",

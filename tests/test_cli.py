@@ -42,24 +42,56 @@ def test_calibrate_unknown_processor(capsys):
     assert "unknown processor" in capsys.readouterr().err
 
 
-def test_scenario_command(capsys):
+def test_run_paper_preset_with_host_overrides(capsys, tmp_path):
+    import json
+
+    from repro.experiments import ScenarioConfig
+
+    spec = tmp_path / "spec.json"
     assert (
         main(
             [
-                "scenario",
+                "run",
+                "--preset",
+                "paper-5.3",
                 "--scheduler",
                 "pas",
                 "--v20-load",
                 "thrashing",
                 "--duration",
                 "800",
+                "--out",
+                str(spec),
             ]
         )
         == 0
     )
     out = capsys.readouterr().out
-    assert "V20.absolute_load" in out
+    assert "scheduler=pas governor=stable" in out
+    assert "V20" in out and "absolute %" in out
     assert "energy" in out
+    # The overrides build exactly the §5.3 config the flags name.
+    assert ScenarioConfig.from_dict(json.loads(spec.read_text())) == ScenarioConfig(
+        scheduler="pas", v20_load="thrashing", duration=800.0
+    )
+
+
+def test_run_rejects_legacy_loads_on_explicit_guests(capsys):
+    assert main(["run", "--preset", "mixed-guests", "--v20-load", "thrashing"]) == 2
+    err = capsys.readouterr().err
+    assert "--v20-load would change nothing" in err
+    assert "guests" in err
+
+
+def test_run_rejects_flags_the_spec_kind_lacks(capsys, tmp_path):
+    assert main(["run", "--preset", "dc-diurnal-small", "--scheduler", "pas"]) == 2
+    assert "unknown cluster scenario field(s) 'scheduler'" in capsys.readouterr().err
+    series = tmp_path / "epochs.csv"
+    assert (
+        main(["run", "--preset", "paper-5.3", "--out-series", str(series)]) == 2
+    )
+    assert "need a kind:cluster spec" in capsys.readouterr().err
+    assert not series.exists()
 
 
 _FAST_GRID = (
@@ -375,7 +407,6 @@ def test_cluster_run_preset(capsys, tmp_path):
     assert (
         main(
             [
-                "cluster",
                 "run",
                 "--preset",
                 "dc-diurnal-small",
@@ -394,18 +425,50 @@ def test_cluster_run_preset(capsys, tmp_path):
 
 
 def test_cluster_run_rejects_scenario_presets(capsys):
-    assert main(["cluster", "run", "--preset", "governors"]) == 2
+    # A fleet-only override on a host spec fails with the config's message.
+    assert main(["run", "--preset", "governors", "--policy", "static"]) == 2
+    err = capsys.readouterr().err
+    assert "unknown scenario config field(s) 'policy'" in err
+    assert "valid fields" in err
+    assert main(["cluster", "compare", "--preset", "governors"]) == 2
     assert "kind:cluster" in capsys.readouterr().err
 
 
 def test_cluster_run_policy_override(capsys):
     assert (
+        main(["run", "--preset", "dc-diurnal-small", "--policy", "static"]) == 0
+    )
+    assert "policy=static" in capsys.readouterr().out
+
+
+def test_run_fleet_spec_round_trips_through_out(capsys, tmp_path):
+    spec = tmp_path / "spec.json"
+    assert (
         main(
-            ["cluster", "run", "--preset", "dc-diurnal-small", "--policy", "static"]
+            [
+                "run",
+                "--preset",
+                "dc-diurnal-small",
+                "--policy",
+                "static",
+                "--seed",
+                "5",
+                "--out",
+                str(spec),
+            ]
         )
         == 0
     )
-    assert "policy=static" in capsys.readouterr().out
+    first = capsys.readouterr().out
+    assert main(["run", "--scenario", str(spec)]) == 0
+    second = capsys.readouterr().out
+
+    def energy_line(out):
+        (line,) = [line for line in out.splitlines() if line.startswith("fleet energy")]
+        return line
+
+    assert energy_line(first) == energy_line(second)
+    assert "policy=static" in second
 
 
 def test_cluster_compare_writes_series_and_passes_checks(capsys, tmp_path):
@@ -631,3 +694,23 @@ def test_run_preset_all_rejects_single_run_outputs(capsys, tmp_path):
     trace = str(tmp_path / "t.json")
     assert main(["run", "--preset", "all", "--trace", trace]) == 2
     assert "--preset all" in capsys.readouterr().err
+    path = str(tmp_path / "x")
+    for flags in (
+        ["--metrics-out", path],
+        ["--out", path],
+        ["--out-series", path],
+        ["--out-hosts", path],
+        ["--out-migrations", path],
+        ["--duration", "5"],
+        ["--seed", "3"],
+        ["--scheduler", "pas"],
+        ["--governor", "ondemand"],
+        ["--v20-load", "thrashing"],
+        ["--v70-load", "idle"],
+        ["--policy", "static"],
+        ["--power-budget", "80"],
+    ):
+        assert main(["run", "--preset", "all", *flags]) == 2, flags
+        err = capsys.readouterr().err
+        assert "--preset all" in err and flags[0] in err
+    assert not (tmp_path / "x").exists()

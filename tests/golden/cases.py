@@ -106,6 +106,39 @@ def sweep_json(stem: str) -> str:
     return run_sweep(preset_grid(SWEEP_CASES[stem]), workers=1).to_json()
 
 
+#: Host-tier fixtures whose totals are pinned in ``pre-billing-totals.json``.
+HOST_TIER_STEMS = (*SCENARIO_CASES, *SWEEP_CASES)
+
+#: Pinned totals of the host-tier fixtures as the per-tick fold engine
+#: rendered them, before interval billing landed.
+PRE_BILLING_TOTALS = FIXTURE_DIR / "pre-billing-totals.json"
+
+
+def fixture_totals(stem: str) -> dict[str, float]:
+    """Per-series totals of a host-tier fixture on disk.
+
+    A scenario fixture sums each series' values (``math.fsum``); the sweep
+    fixture keys each numeric cell metric as ``{cell label}/{metric}``.
+    """
+    import csv
+    import json
+    import math
+
+    if stem in SWEEP_CASES:
+        doc = json.loads((FIXTURE_DIR / f"{stem}.json").read_text())
+        return {
+            f"{cell['label']}/{name}": float(value)
+            for cell in doc["cells"]
+            for name, value in sorted(cell["metrics"].items())
+            if isinstance(value, (int, float))
+        }
+    values: dict[str, list[float]] = {}
+    with open(FIXTURE_DIR / f"{stem}.series.csv", newline="") as handle:
+        for row in csv.DictReader(handle):
+            values.setdefault(row["series"], []).append(float(row["v"]))
+    return {name: math.fsum(series) for name, series in sorted(values.items())}
+
+
 def all_cases() -> dict[str, tuple]:
     """Every fixture stem mapped to (renderer, file suffix)."""
     cases: dict[str, tuple] = {}

@@ -95,6 +95,20 @@ class PasScheduler(CreditScheduler):
                 hint = True
         return hint
 
+    def next_tick(self, now: float) -> float:
+        # The credit accounting ticks, plus the tick where tick()'s sample
+        # rule fires, on the same replayed 10 ms grid as the credit ticks.
+        period = self.tick_period
+        due = self.sample_period - 1e-9
+        last = self._last_sample_time
+        count = self._tick_count + 1
+        at = now + period
+        while count % self.ticks_per_accounting and at - last < due:
+            count += 1
+            at += period
+        self._tick_count = count
+        return at
+
     def _require_userspace_governor(self) -> None:
         governor = self.host.governor
         if governor.name != "userspace":
@@ -109,12 +123,12 @@ class PasScheduler(CreditScheduler):
 
     def _take_sample(self, now: float) -> None:
         host = self.host
-        host.sync_accounting()
         processor = host.processor
+        busy_seconds = host.busy_seconds()
         window_dt = now - self._last_sample_time
-        busy = processor.busy_seconds - self._last_busy_seconds
+        busy = busy_seconds - self._last_busy_seconds
         self._last_sample_time = now
-        self._last_busy_seconds = processor.busy_seconds
+        self._last_busy_seconds = busy_seconds
         if window_dt <= 0:
             return
         nominal = max(0.0, min(100.0, 100.0 * busy / window_dt))

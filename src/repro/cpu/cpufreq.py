@@ -31,11 +31,22 @@ class CpuFreq:
         The simulation engine (drives the governor's sampling timer).
     processor:
         The processor whose P-state this subsystem controls.
+    busy_seconds:
+        Reads the processor's busy wall seconds up to now.  The host passes
+        its exact read (billed time plus the in-flight slice); the default
+        reads the processor's billed counter.
     """
 
-    def __init__(self, engine: Engine, processor: Processor) -> None:
+    def __init__(
+        self,
+        engine: Engine,
+        processor: Processor,
+        *,
+        busy_seconds: Callable[[], float] | None = None,
+    ) -> None:
         self._engine = engine
         self._processor = processor
+        self._busy_seconds = busy_seconds or (lambda: processor.busy_seconds)
         self._governor: "Governor | None" = None
         self._timer: PeriodicTimer | None = None
         self._last_sample_time = 0.0
@@ -165,7 +176,7 @@ class CpuFreq:
     def add_pre_observer(self, callback: Callable[[int], None]) -> None:
         """Register *callback(new_freq_mhz)* to fire just *before* a change.
 
-        The hypervisor uses this to fold the in-flight slice prefix (or idle
+        The hypervisor uses this to bill the in-flight slice prefix (or idle
         gap) into the books while the outgoing P-state is still current, so
         energy and time-in-state are billed at the state that actually ran.
         """
@@ -184,9 +195,10 @@ class CpuFreq:
         window = now - self._last_sample_time
         if window <= 0.0:
             return self._last_load_percent
-        busy = self._processor.busy_seconds - self._last_busy_seconds
+        busy_seconds = self._busy_seconds()
+        busy = busy_seconds - self._last_busy_seconds
         self._last_sample_time = now
-        self._last_busy_seconds = self._processor.busy_seconds
+        self._last_busy_seconds = busy_seconds
         load = max(0.0, min(100.0, 100.0 * busy / window))
         self._last_load_percent = load
         return load

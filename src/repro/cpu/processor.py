@@ -218,19 +218,26 @@ class Processor:
         self._elapsed_seconds += dt
         self._busy_seconds += dt * busy_fraction
         self._time_in_state[self._state.freq_mhz] += dt
+        energy = self.energy_for(dt, busy_fraction)
+        self._energy_joules += energy
+        return energy
+
+    def energy_for(self, dt: float, busy_fraction: float) -> float:
+        """Joules *dt* wall seconds at *busy_fraction* cost in the current state.
+
+        Pure: :meth:`account` bills exactly this, and the host's exact
+        reads use it to price the still-open interval.
+        """
         # The power model is a pure function of (state, utilisation); the
         # two utilisations the dispatch loop ever bills (fully busy slices,
         # fully idle gaps) are served from the per-state cache.  Energy is
         # ``power * dt`` either way, so the cached path is bit-identical.
         if busy_fraction == 1.0:
-            energy = self._power_busy * dt
-        elif busy_fraction == 0.0:
-            energy = self._power_idle * dt
-        else:
-            check_fraction(busy_fraction, "busy_fraction")
-            energy = self._spec.power.energy(self._state, self._table, busy_fraction, dt)
-        self._energy_joules += energy
-        return energy
+            return self._power_busy * dt
+        if busy_fraction == 0.0:
+            return self._power_idle * dt
+        check_fraction(busy_fraction, "busy_fraction")
+        return self._spec.power.energy(self._state, self._table, busy_fraction, dt)
 
     @property
     def energy_joules(self) -> float:

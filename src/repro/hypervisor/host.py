@@ -10,8 +10,15 @@ the same composition as a Xen box (§2).  It runs a slice-based dispatch loop:
   the paper's Eq. 1/2 is the substrate's definition of DVFS;
 * P-state changes, wake-time preemptions and scheduler ticks all end the
   in-flight slice early (work accrual assumes constant capacity per slice);
-* accounting is lazy: counters are brought up to date at slice boundaries
-  and on :meth:`sync_accounting` (the load monitor forces this each sample).
+* each interval is billed once, at its true boundary: slice end, a P-state
+  change, a credit accounting tick, the end of :meth:`Host.run`.  Samplers
+  never bill: the read accessors (:meth:`Host.busy_seconds`,
+  :meth:`Host.cpu_seconds`, :meth:`Host.work_done`,
+  :meth:`Host.energy_joules`, ...) add the open interval — the in-flight
+  slice or the idle gap — to the billed counters without mutating them, so
+  observing a run never moves a bit of it;
+* the scheduler tick fires only where it has work to do
+  (:meth:`~repro.schedulers.base.Scheduler.next_tick`).
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from ..cpu import CpuFreq, Processor, ProcessorSpec, catalog
 from ..errors import ConfigurationError, SchedulerError
 from ..governors import Governor, make_governor
 from ..obs import hooks as _obs
-from ..sim import Engine, EventHandle, PeriodicTimer, RngStreams
+from ..sim import Engine, EventHandle, RngStreams
 from ..telemetry import Recorder
 from .domain import DOM0_CLASS, Domain, DomainConfig, GUEST_CLASS
 from .load_monitor import LoadMonitor
@@ -64,7 +71,7 @@ class Host:
     ) -> None:
         self.engine = Engine()
         self.processor = Processor(processor)
-        self.cpufreq = CpuFreq(self.engine, self.processor)
+        self.cpufreq = CpuFreq(self.engine, self.processor, busy_seconds=self.busy_seconds)
         self.recorder = Recorder()
         self.rng = RngStreams(seed)
 
@@ -91,7 +98,7 @@ class Host:
         self._slice_capacity = 1.0
         self._slice_end_event: EventHandle | None = None
         self._idle_from: float | None = 0.0
-        self._tick_timer: PeriodicTimer | None = None
+        self._tick_event: EventHandle | None = None
         self._started = False
         self._preemptions = 0
         #: Per-domain energy attribution (joules charged while dispatched).
@@ -160,13 +167,11 @@ class Host:
         self._started = True
         self.cpufreq.set_governor(self.governor)
         if self.scheduler.tick_period is not None:
-            self._tick_timer = PeriodicTimer(
-                self.engine,
-                self.scheduler.tick_period,
+            self._tick_event = self.engine.schedule_at(
+                self.scheduler.next_tick(self.engine.now),
                 self._on_scheduler_tick,
                 label=f"sched.{self.scheduler.name}",
             )
-            self._tick_timer.start()
         self._monitor.start()
         for domain in self._domains.values():
             for workload in domain.workloads:
@@ -204,27 +209,34 @@ class Host:
             self._end_current_slice()
             self._begin_dispatch()
 
-    def _on_scheduler_tick(self, now: float) -> None:
-        # Fold the in-flight slice into the books *before* the scheduler's
-        # bookkeeping: Xen debits the running vCPU at every tick, and a
-        # credit-accounting reset must see usage accrued in the period it
-        # closes, not have a whole slice charged into the fresh period.
-        self.sync_accounting()
-        if self.scheduler.tick(now):
-            if self._current is not None:
-                self._preemptions += 1
-                trace = _obs.TRACER
-                if trace is not None:
-                    trace.sched_preempt(now, self._current.name, "tick")
+    def _on_scheduler_tick(self) -> None:
+        # The scheduler bills the books itself when its bookkeeping needs
+        # them (a credit accounting pass), then names the next tick that
+        # has work to do; the fired handle is re-stamped for it.
+        engine = self.engine
+        now = engine._now
+        scheduler = self.scheduler
+        redispatch = scheduler.tick(now)
+        engine.rearm(self._tick_event, scheduler.next_tick(now), self._on_scheduler_tick)
+        if redispatch:
+            current = self._current
+            if current is not None:
+                # A tick that lands on the slice's own end instant finds
+                # nothing left to cut short: that is no preemption.
+                if self._slice_end_event.time > now:
+                    self._preemptions += 1
+                    trace = _obs.TRACER
+                    if trace is not None:
+                        trace.sched_preempt(now, current.name, "tick")
                 self._end_current_slice()
             self._begin_dispatch()
 
     def _before_frequency_change(self, freq_mhz: int) -> None:
-        # Fold the in-flight slice prefix (or idle gap) into the books while
-        # the outgoing P-state is still current: the prefix ran at the old
-        # state's capacity *and* the old state's wattage, so billing it
-        # after the flip would charge it at the wrong power and log it in
-        # the wrong time-in-state bucket.
+        # Bill the in-flight slice prefix (or idle gap) while the outgoing
+        # P-state is still current: the prefix ran at the old state's
+        # capacity *and* the old state's wattage, so billing it after the
+        # flip would charge it at the wrong power and log it in the wrong
+        # time-in-state bucket.
         self.sync_accounting()
 
     def _on_frequency_change(self, freq_mhz: int) -> None:
@@ -339,11 +351,14 @@ class Host:
     # ------------------------------------------------------------ accounting
 
     def sync_accounting(self) -> None:
-        """Bring work/energy/charge counters up to the current instant.
+        """Bill the open interval (in-flight slice prefix or idle gap) now.
 
-        Accounting is lazy (slice-boundary); samplers call this first so the
-        books reflect any in-flight slice or idle gap.  The in-flight slice
-        keeps running — only its consumed prefix is folded in.
+        Called at billing boundaries only: a P-state change, a credit
+        accounting pass, the end of :meth:`run`, and the once-a-second
+        control loops that also read scheduler state (QoS monitor, the
+        user-level managers).  The in-flight slice keeps running; only its
+        consumed prefix is billed.  Samplers use the read accessors
+        instead, which leave the books untouched.
         """
         current = self._current
         if current is not None:
@@ -367,23 +382,70 @@ class Host:
                     self._idle_energy += self.processor.account(gap, 0.0)
                 self._idle_from = now
 
+    # -------------------------------------------------------- exact reads
+    #
+    # Billed counter + open interval, without mutation.  Each read equals
+    # what a sync_accounting() at this instant would leave in the counter,
+    # bit for bit, while the run's own float stream stays untouched.
+
+    def _open_slice(self, vcpu: VCpu) -> float:
+        """Unbilled wall seconds *vcpu* has run in the in-flight slice."""
+        if vcpu is self._current:
+            return self.engine._now - self._slice_start
+        return 0.0
+
+    def busy_seconds(self) -> float:
+        """Wall seconds with a vCPU dispatched, up to now."""
+        busy = self.processor.busy_seconds
+        if self._current is not None:
+            busy += self.engine._now - self._slice_start
+        return busy
+
+    def cpu_seconds(self, name: str) -> float:
+        """Wall seconds domain *name* has been dispatched, up to now."""
+        vcpu = self.domain(name).vcpu
+        return vcpu.cpu_seconds + self._open_slice(vcpu)
+
+    def work_done(self, name: str) -> float:
+        """Absolute seconds of work domain *name* has completed, up to now."""
+        vcpu = self.domain(name).vcpu
+        return vcpu.work_done + self._open_slice(vcpu) * self._slice_capacity
+
+    def _open_energy(self) -> float:
+        """Energy of the open interval at the current P-state."""
+        now = self.engine._now
+        if self._current is not None:
+            return self.processor.energy_for(now - self._slice_start, 1.0)
+        if self._idle_from is not None:
+            return self.processor.energy_for(now - self._idle_from, 0.0)
+        return 0.0
+
+    def energy_joules(self) -> float:
+        """Processor energy up to now."""
+        return self.processor.energy_joules + self._open_energy()
+
     # -------------------------------------------------- energy attribution
 
     def domain_energy_joules(self, name: str) -> float:
-        """Energy charged to domain *name* while dispatched (charge-back).
+        """Energy charged to domain *name* while dispatched, up to now.
 
         Attribution is at-the-meter: each slice's package energy (at the
         P-state and utilisation it ran under) goes to the domain that was
         running.  Idle-time energy is the provider's overhead
-        (:attr:`idle_energy_joules`); the three always sum to the
-        processor's total.
+        (:attr:`idle_energy_joules`); the three always sum to
+        :meth:`energy_joules`.
         """
-        self.domain(name)  # validate the name
-        return self._domain_energy.get(name, 0.0)
+        vcpu = self.domain(name).vcpu
+        energy = self._domain_energy.get(name, 0.0)
+        if vcpu is self._current:
+            energy += self._open_energy()
+        return energy
 
     @property
     def idle_energy_joules(self) -> float:
-        """Energy burnt while no vCPU was dispatched (provider overhead)."""
+        """Energy burnt while no vCPU was dispatched, up to now."""
+        if self._current is None:
+            return self._idle_energy + self._open_energy()
         return self._idle_energy
 
     # ------------------------------------------------------------ shorthand

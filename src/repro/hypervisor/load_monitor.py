@@ -52,9 +52,10 @@ class LoadMonitor:
 
     def start(self) -> None:
         """Begin sampling (aligned to multiples of the period)."""
-        for domain in self._host.domains:
-            self._last_cpu_seconds[domain.name] = domain.cpu_seconds
-        self._last_energy = self._host.processor.energy_joules
+        host = self._host
+        for domain in host.domains:
+            self._last_cpu_seconds[domain.name] = host.cpu_seconds(domain.name)
+        self._last_energy = host.energy_joules()
         self._timer.start()
 
     def stop(self) -> None:
@@ -64,15 +65,14 @@ class LoadMonitor:
     # ------------------------------------------------------------ internals
 
     def _sample(self, now: float) -> None:
-        # The host accounts lazily (at slice boundaries), so force the books
-        # up to date before reading counters.
-        self._host.sync_accounting()
-        processor = self._host.processor
+        # Exact reads: the open interval counts, and nothing is billed.
+        host = self._host
+        processor = host.processor
         scale = processor.ratio * processor.cf
 
         total_global = 0.0
-        for domain in self._host.domains:
-            used = domain.cpu_seconds
+        for domain in host.domains:
+            used = host.cpu_seconds(domain.name)
             last = self._last_cpu_seconds.get(domain.name, 0.0)
             self._last_cpu_seconds[domain.name] = used
             global_load = 100.0 * (used - last) / self._period
@@ -86,7 +86,7 @@ class LoadMonitor:
                 self._recorder.record(f"{prefix}.vm_load", now, vm_load)
 
         total_global = min(100.0, total_global)
-        energy = processor.energy_joules
+        energy = host.energy_joules()
         self._recorder.record("host.global_load", now, total_global)
         self._recorder.record("host.absolute_load", now, total_global * scale)
         self._recorder.record("host.freq_mhz", now, float(processor.frequency_mhz))

@@ -91,9 +91,9 @@ class PhaseProfiler:
 
         Phases: ``scheduler`` (every scheduler entry point), ``governor``
         (policy decisions), ``cpufreq`` (sampling + P-state application),
-        ``accounting`` (lazy book folding), ``dispatch`` (the host's slice
-        machinery), ``telemetry`` (load-monitor sampling), ``workload``
-        (demand generation timers).  Call after ``host.start()`` so the
+        ``accounting`` (billing the open interval), ``dispatch`` (the
+        host's slice machinery), ``telemetry`` (load-monitor sampling),
+        ``workload`` (demand generation timers).  Call after ``host.start()`` so the
         workload timers exist; the engine looks timer callbacks and bound
         methods up at fire time, so rebinding here takes effect for the
         whole subsequent run.

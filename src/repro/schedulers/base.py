@@ -10,9 +10,12 @@ time is charged.  The contract:
 * :meth:`slice_for` bounds the slice so a policy budget is never overshot;
 * :meth:`charge` accounts wall-time actually consumed (the host may end a
   slice early on blocking or P-state changes);
-* :meth:`tick` fires every :attr:`tick_period` simulated seconds and returns
-  True when its bookkeeping may have changed who should run, so the host
-  re-dispatches.
+* :meth:`tick` fires on the :attr:`tick_period` grid and returns True when
+  its bookkeeping may have changed who should run, so the host re-dispatches;
+  :meth:`next_tick` names the next grid instant whose tick has work to do,
+  so the host fires only those.  A tick that needs the books up to date
+  (a credit accounting pass) bills them itself through
+  :meth:`~repro.hypervisor.host.Host.sync_accounting`.
 
 Caps are mutable at runtime via :meth:`set_cap` — that is the hook the PAS
 scheduler and the user-level managers (§4.1) use to enforce Eq. 4.
@@ -121,6 +124,15 @@ class Scheduler(ABC):
     def tick(self, now: float) -> bool:
         """Periodic bookkeeping; True if the host should re-dispatch."""
         return False
+
+    def next_tick(self, now: float) -> float:
+        """Instant of the next tick with work to do, after the tick at *now*.
+
+        Instants are the :attr:`tick_period` grid accumulated in floating
+        point (``t += tick_period``), exactly as a periodic timer would
+        fire them.  Default: every tick.
+        """
+        return now + self.tick_period
 
     def should_preempt(self, current: "VCpu", waking: "VCpu") -> bool:
         """True when *waking* must preempt *current* immediately."""

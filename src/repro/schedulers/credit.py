@@ -252,13 +252,28 @@ class CreditScheduler(Scheduler):
 
     # ----------------------------------------------------------- accounting
 
+    def next_tick(self, now: float) -> float:
+        # Only every ticks_per_accounting-th tick does anything; replay the
+        # grid over the idle ones so the accounting tick lands on the same
+        # float instant a 10 ms periodic timer would reach.
+        period = self.tick_period
+        count = self._tick_count + 1
+        at = now + period
+        while count % self.ticks_per_accounting:
+            count += 1
+            at += period
+        self._tick_count = count
+        return at
+
     def tick(self, now: float) -> bool:
-        self._tick_count += 1
         if self._tick_count % self.ticks_per_accounting != 0:
             return False
         trace = _obs.TRACER
         if trace is not None:
             trace.credit_event(now, "reset", "all")
+        # Bill the in-flight slice first: the reset must see usage accrued
+        # in the period it closes, not have it charged into the fresh one.
+        self.host.sync_accounting()
         self._run_accounting()
         for account in self._accounts.values():
             if account.queued:

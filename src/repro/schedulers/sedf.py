@@ -207,12 +207,20 @@ class SedfScheduler(Scheduler):
 
     def tick(self, now: float) -> bool:
         # Pick up period rollovers for runnable-but-unserved vCPUs; the host
-        # re-dispatches when new guaranteed budget appeared.
-        rolled = False
-        for account in self._accounts.values():
-            if account.vcpu.runnable and account.refresh(now):
-                rolled = True
-        return rolled
+        # re-dispatches when new guaranteed budget appeared.  A rollover is
+        # a billing boundary: the in-flight slice's prefix is charged to the
+        # period it ran in before that period's budget is replaced.
+        due = [
+            account
+            for account in self._accounts.values()
+            if account.vcpu.runnable and now >= account.deadline - 1e-12
+        ]
+        if not due:
+            return False
+        self.host.sync_accounting()
+        for account in due:
+            account.refresh(now)
+        return True
 
     # -------------------------------------------------------------- queries
 

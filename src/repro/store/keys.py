@@ -18,9 +18,11 @@ from typing import Any, Mapping, Sequence
 
 from ..errors import ConfigurationError
 
-#: Bump when the blob payload layout or the key derivation changes; old
-#: entries then read as version mismatches and are recomputed (or GC'd).
-STORE_SCHEMA_VERSION = 1
+#: Bump when the blob payload layout, the key derivation or the physics
+#: behind cached metrics changes; old entries then read as version
+#: mismatches and are recomputed (or GC'd).  2: host-tier cells are billed
+#: at interval boundaries, not folded at every scheduler tick.
+STORE_SCHEMA_VERSION = 2
 
 
 def canonical_json(value: Any) -> str:

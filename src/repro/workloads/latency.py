@@ -94,6 +94,11 @@ class LatencyTracker:
         return self._total_weight
 
     @property
+    def drained(self) -> bool:
+        """True when every arrived request has completed (empty FIFO)."""
+        return not self._fifo
+
+    @property
     def queued_requests(self) -> float:
         """Requests still (partially) in the FIFO."""
         return sum(chunk.requests for chunk in self._fifo)

@@ -92,7 +92,7 @@ class WebApp(Workload):
         self._progress_timer: PeriodicTimer | None = None
         self._last_work_done = 0.0
         self._vcpu = None
-        self._sync_accounting = None
+        self._read_work_done = None
         self.offered_work = 0.0
         self.accepted_work = 0.0
         self.dropped_work = 0.0
@@ -113,17 +113,19 @@ class WebApp(Workload):
         # Hot-path caches: every batch and every poll walks domain -> host /
         # domain -> vcpu chains otherwise.
         self._vcpu = self.domain.vcpu
-        self._sync_accounting = self.domain.host.sync_accounting
+        self._read_work_done = self.domain.host.work_done
         if self.track_latency:
             # Progress polling runs on its own timer so responses completed
-            # after the last arrival (backlog drain) are still recorded.
+            # after the last arrival (backlog drain) are still recorded.  It
+            # polls only while work is in flight: the first accepted batch
+            # arms it, on the injector's grid, and it stops once the
+            # injector has retired and every request has completed.
             self._progress_timer = PeriodicTimer(
                 self.engine,
                 self.injection_period,
                 self._poll_progress,
                 label=f"webapp-latency.{self.domain.name}",
             )
-            self._progress_timer.start()
 
     def stop(self) -> None:
         if self._injector is not None:
@@ -167,23 +169,23 @@ class WebApp(Workload):
         self.accepted_work += accepted
         self.dropped_work += dropped
         if accepted > 0:
-            if self.latency is not None:
+            latency = self.latency
+            if latency is not None:
                 self._poll_progress(now)
-                self.latency.on_arrival(now, accepted, accepted / self.request_cost)
+                latency.on_arrival(now, accepted, accepted / self.request_cost)
             self.domain.add_work(accepted)
+            timer = self._progress_timer
+            if timer is not None and not timer.running:
+                timer.start()
 
     def _poll_progress(self, now: float) -> None:
-        if self.latency is None:  # pragma: no cover - timer only runs if tracking
+        latency = self.latency
+        if latency is None:  # pragma: no cover - timer only runs if tracking
             return
-        self._sync_accounting()
-        done = self._vcpu._work_done
+        done = self._read_work_done(self.domain.name)
         delta = done - self._last_work_done
         self._last_work_done = done
         if delta > 0:
-            self.latency.on_progress(now, delta)
-        # NOTE: the poll timer deliberately does NOT retire with the
-        # injector.  Its sync_accounting() call is an accounting *fold
-        # point*, and fold points pin the low-order bits of every exported
-        # energy/time series; periodic timers accumulate their fire times
-        # in floating point, so poll instants do not exactly coincide with
-        # scheduler-tick instants and no other timer reproduces these folds.
+            latency.on_progress(now, delta)
+        if latency.drained and self._injector.retired:
+            self._progress_timer.stop()

@@ -1,8 +1,8 @@
-"""Golden-trace tests: the optimised engine must reproduce the seed engine.
+"""Golden-trace tests: the engine must reproduce the pinned fixtures.
 
-The fixtures under ``fixtures/`` were rendered by the pre-overhaul
-dispatch engine at full float precision.  Every case must match byte for
-byte — a single low-order energy bit moving means an accounting fold was
+The fixtures under ``fixtures/`` are full-precision renders (see
+``cases.py`` for their provenance).  Every case must match byte for
+byte — a single low-order energy bit moving means a billing point was
 added, removed or reordered, which is exactly the class of bug a
 performance refactor of the hot path can introduce.
 """

@@ -65,11 +65,14 @@ def test_sync_accounting_idempotent():
     vm.attach_workload(PiApp(5.0))
     host.start()
     host.engine.run_until(1.0)
-    host.sync_accounting()
-    first = vm.cpu_seconds
+    first = host.cpu_seconds("vm")
+    billed = vm.cpu_seconds
+    assert host.cpu_seconds("vm") == first  # reads are pure ...
+    assert vm.cpu_seconds == billed  # ... and bill nothing
     host.sync_accounting()
     host.sync_accounting()
     assert vm.cpu_seconds == first
+    assert host.cpu_seconds("vm") == first
 
 
 def test_end_slice_while_idle_raises():

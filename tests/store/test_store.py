@@ -133,6 +133,20 @@ def test_schema_version_mismatch_detected(tmp_path):
     assert store.lookup(key) is None
 
 
+def test_v1_blob_from_the_fold_engine_is_a_miss_and_gc_drops_it(tmp_path):
+    # Schema 1 cells were computed by the per-tick fold engine; their
+    # metrics differ in low-order bits from what this library computes.
+    assert STORE_SCHEMA_VERSION == 2
+    store = ExperimentStore(tmp_path / "st")
+    key = "7" * 64
+    payload = put_cell(store, key)
+    store.blob_path(key).write_text(encode_blob(dict(payload, schema=1)))
+    assert store.lookup(key) is None
+    stats = store.gc()
+    assert stats["version_mismatch"] == 1 and stats["kept"] == 0
+    assert not store.blob_path(key).exists()
+
+
 # ---------------------------------------------------------------------- gc
 
 

@@ -2,11 +2,14 @@
 
 A *golden case* renders one preset's full telemetry to CSV text at full
 float precision (``repr`` floats via :func:`records_to_csv`), so the
-fixture captures every low-order bit the simulation produces.  The
-fixtures under ``tests/golden/fixtures/`` were generated by the
-*pre-refactor* dispatch engine; the golden tests assert the optimised
-engine reproduces them byte for byte — the old-vs-new contract of the
-perf overhaul.
+fixture captures every low-order bit the simulation produces; the golden
+tests assert the engine reproduces them byte for byte.  The fleet
+fixtures date from the pre-refactor dispatch engine.  The host-tier
+fixtures (the scenario cases and the stress-fleet sweep) were regenerated
+when the host moved from folding its books at every scheduler tick to
+billing each interval at its true boundary; ``pre-billing-totals.json``
+keeps their totals from before that change, and
+``test_billing_drift.py`` bounds the drift at 1e-9 relative.
 
 Regenerate (only when an intentional physics change lands) with::
 

@@ -89,25 +89,15 @@ class PasScheduler(CreditScheduler):
         hint = super().tick(now)
         if not self._governor_checked:
             self._require_userspace_governor()
-        if now - self._last_sample_time >= self.sample_period - 1e-9:
+        if self._tick_due(now):
             self._take_sample(now)
             if self._update_dvfs_and_credits():
                 hint = True
         return hint
 
-    def next_tick(self, now: float) -> float:
-        # The credit accounting ticks, plus the tick where tick()'s sample
-        # rule fires, on the same replayed 10 ms grid as the credit ticks.
-        period = self.tick_period
-        due = self.sample_period - 1e-9
-        last = self._last_sample_time
-        count = self._tick_count + 1
-        at = now + period
-        while count % self.ticks_per_accounting and at - last < due:
-            count += 1
-            at += period
-        self._tick_count = count
-        return at
+    def _tick_due(self, now: float) -> bool:
+        """A utilisation sample is due (one per *sample_period*)."""
+        return now - self._last_sample_time >= self.sample_period - 1e-9
 
     def _require_userspace_governor(self) -> None:
         governor = self.host.governor

@@ -11,7 +11,9 @@ the same composition as a Xen box (§2).  It runs a slice-based dispatch loop:
 * P-state changes, wake-time preemptions and scheduler ticks all end the
   in-flight slice early (work accrual assumes constant capacity per slice);
 * each interval is billed once, at its true boundary: slice end, a P-state
-  change, a credit accounting tick, the end of :meth:`Host.run`.  Samplers
+  change, a scheduler tick whose bookkeeping reads the books (a credit
+  accounting pass, an SEDF period rollover), the end of :meth:`Host.run`,
+  and the 1 s control loops that also read credits and caps.  Samplers
   never bill: the read accessors (:meth:`Host.busy_seconds`,
   :meth:`Host.cpu_seconds`, :meth:`Host.work_done`,
   :meth:`Host.energy_joules`, ...) add the open interval — the in-flight
@@ -212,12 +214,17 @@ class Host:
     def _on_scheduler_tick(self) -> None:
         # The scheduler bills the books itself when its bookkeeping needs
         # them (a credit accounting pass), then names the next tick that
-        # has work to do; the fired handle is re-stamped for it.
+        # has work to do.  Releasing the fired handle first lets the
+        # engine re-stamp the same object for it.
         engine = self.engine
         now = engine._now
         scheduler = self.scheduler
         redispatch = scheduler.tick(now)
-        engine.rearm(self._tick_event, scheduler.next_tick(now), self._on_scheduler_tick)
+        event = self._tick_event
+        engine.release(event)
+        self._tick_event = engine.schedule_at(
+            scheduler.next_tick(now), self._on_scheduler_tick, label=event.label
+        )
         if redispatch:
             current = self._current
             if current is not None:
@@ -354,9 +361,9 @@ class Host:
         """Bill the open interval (in-flight slice prefix or idle gap) now.
 
         Called at billing boundaries only: a P-state change, a credit
-        accounting pass, the end of :meth:`run`, and the once-a-second
-        control loops that also read scheduler state (QoS monitor, the
-        user-level managers).  The in-flight slice keeps running; only its
+        accounting pass, an SEDF period rollover, the end of :meth:`run`,
+        and the once-a-second control loops that also read scheduler
+        state (QoS monitor, the user-level managers).  The in-flight slice keeps running; only its
         consumed prefix is billed.  Samplers use the read accessors
         instead, which leave the books untouched.
         """

@@ -93,10 +93,10 @@ class PhaseProfiler:
         (policy decisions), ``cpufreq`` (sampling + P-state application),
         ``accounting`` (billing the open interval), ``dispatch`` (the
         host's slice machinery), ``telemetry`` (load-monitor sampling),
-        ``workload`` (demand generation timers).  Call after ``host.start()`` so the
-        workload timers exist; the engine looks timer callbacks and bound
-        methods up at fire time, so rebinding here takes effect for the
-        whole subsequent run.
+        ``workload`` (demand generation timers).  Call after
+        ``host.start()`` so the workload timers exist; the engine looks
+        timer callbacks and bound methods up at fire time, so rebinding
+        here takes effect for the whole subsequent run.
         """
         scheduler = host.scheduler
         for name in (

@@ -14,8 +14,8 @@ time is charged.  The contract:
   its bookkeeping may have changed who should run, so the host re-dispatches;
   :meth:`next_tick` names the next grid instant whose tick has work to do,
   so the host fires only those.  A tick that needs the books up to date
-  (a credit accounting pass) bills them itself through
-  :meth:`~repro.hypervisor.host.Host.sync_accounting`.
+  (a credit accounting pass, an SEDF period rollover) bills them itself
+  through :meth:`~repro.hypervisor.host.Host.sync_accounting`.
 
 Caps are mutable at runtime via :meth:`set_cap` — that is the hook the PAS
 scheduler and the user-level managers (§4.1) use to enforce Eq. 4.

@@ -253,17 +253,21 @@ class CreditScheduler(Scheduler):
     # ----------------------------------------------------------- accounting
 
     def next_tick(self, now: float) -> float:
-        # Only every ticks_per_accounting-th tick does anything; replay the
-        # grid over the idle ones so the accounting tick lands on the same
-        # float instant a 10 ms periodic timer would reach.
+        # Only every ticks_per_accounting-th tick accounts; replay the grid
+        # over the ticks that would do nothing, so the next working tick
+        # lands on the float instant a 10 ms periodic timer would reach.
         period = self.tick_period
         count = self._tick_count + 1
         at = now + period
-        while count % self.ticks_per_accounting:
+        while count % self.ticks_per_accounting and not self._tick_due(at):
             count += 1
             at += period
         self._tick_count = count
         return at
+
+    def _tick_due(self, now: float) -> bool:
+        """True when a tick at *now* has work besides accounting (hook)."""
+        return False
 
     def tick(self, now: float) -> bool:
         if self._tick_count % self.ticks_per_accounting != 0:

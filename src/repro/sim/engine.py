@@ -166,31 +166,6 @@ class Engine:
         handle._cancelled = False
         self._free.append(handle)
 
-    def rearm(self, handle: EventHandle, time: float, callback: Callable[[], None]) -> None:
-        """Push the just-fired *handle* back into the heap at absolute *time*.
-
-        The re-stamp :meth:`~repro.sim.timers.PeriodicTimer._fire` plays
-        with its own handle, for an owner that picks each next instant
-        itself (the host's scheduler tick).  Same caller contract as
-        :meth:`release`: the engine has fired the handle and the caller
-        holds the only reference.  Pop-then-push neutral, so the heap peak
-        cannot move.
-        """
-        if handle.callback is not None:
-            raise SimulationError(
-                f"cannot re-arm pending event {handle.label!r}: it is still in the heap"
-            )
-        if time < self._now:
-            raise SimulationError(
-                f"cannot re-arm {handle.label!r} at t={time:.9f}, now is t={self._now:.9f}"
-            )
-        sequence = self._sequence
-        self._sequence = sequence + 1
-        handle.time = time
-        handle.sequence = sequence
-        handle.callback = callback
-        heapq.heappush(self._heap, (time, sequence, handle))
-
     # --------------------------------------------------------------- running
 
     def step(self) -> bool:

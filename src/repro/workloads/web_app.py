@@ -169,10 +169,9 @@ class WebApp(Workload):
         self.accepted_work += accepted
         self.dropped_work += dropped
         if accepted > 0:
-            latency = self.latency
-            if latency is not None:
+            if self.latency is not None:
                 self._poll_progress(now)
-                latency.on_arrival(now, accepted, accepted / self.request_cost)
+                self.latency.on_arrival(now, accepted, accepted / self.request_cost)
             self.domain.add_work(accepted)
             timer = self._progress_timer
             if timer is not None and not timer.running:

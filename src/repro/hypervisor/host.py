@@ -213,8 +213,8 @@ class Host:
 
     def _on_scheduler_tick(self) -> None:
         # The scheduler bills the books itself when its bookkeeping needs
-        # them (a credit accounting pass), then names the next tick that
-        # has work to do.  Releasing the fired handle first lets the
+        # them (a credit accounting pass, an SEDF period rollover), then
+        # names the next tick that has work to do.  Releasing the fired handle first lets the
         # engine re-stamp the same object for it.
         engine = self.engine
         now = engine._now
@@ -363,9 +363,10 @@ class Host:
         Called at billing boundaries only: a P-state change, a credit
         accounting pass, an SEDF period rollover, the end of :meth:`run`,
         and the once-a-second control loops that also read scheduler
-        state (QoS monitor, the user-level managers).  The in-flight slice keeps running; only its
-        consumed prefix is billed.  Samplers use the read accessors
-        instead, which leave the books untouched.
+        state (QoS monitor, the user-level managers).  The in-flight
+        slice keeps running; only its consumed prefix is billed.
+        Samplers use the read accessors instead, which leave the books
+        untouched.
         """
         current = self._current
         if current is not None:

@@ -21,7 +21,7 @@ Examples::
     python -m repro store export --store results-store --out corpus.csv --where governor=stable
     python -m repro run --preset dc-diurnal-small --policy static --out-series epochs.csv
     python -m repro sweep --preset dc-diurnal --store results-store
-    python -m repro cluster compare --preset dc-diurnal --out-dir dc-series
+    python -m repro sweep --preset dc-diurnal --grid '{"policy": ["static", "spread"]}'
 
 Every command prints the same paper-vs-measured report the benchmarks
 assert on, and exits non-zero when a shape criterion fails — so the CLI
@@ -46,7 +46,6 @@ from .errors import ConfigurationError, StoreError
 from .experiments import (
     get_preset,
     PRESETS,
-    preset_grid,
     ScenarioConfig,
     run_scenario,
 )
@@ -554,9 +553,10 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 #: Override flags of the single-run commands: (flag, config field, type,
-#: help).  ``run`` defines them all, ``profile`` and ``cluster compare``
-#: the first two.  A flag whose field the spec's kind lacks fails with the
-#: config's own unknown-field message.
+#: help).  ``run`` defines them all, ``profile`` the first two; ``sweep``
+#: has its own ``--duration``/``--seed`` for the grid's base.  A flag whose
+#: field the spec's kind lacks fails with the config's own unknown-field
+#: message.
 _OVERRIDES = (
     ("--duration", "duration", float, "override the spec's duration (sim seconds)"),
     ("--seed", "seed", int, "override the spec's root seed"),
@@ -581,7 +581,7 @@ def _add_overrides(parser: argparse.ArgumentParser, *flags: str) -> None:
 
 
 def _resolve_spec(args: argparse.Namespace) -> tuple:
-    """``(config, title, slug)`` from ``--preset``/``--scenario`` + overrides.
+    """``(config, title)`` from ``--preset``/``--scenario`` + overrides.
 
     The one place a single-run command reads its spec: a ``--scenario``
     file dispatches on ``"kind": "cluster"``, then every override flag the
@@ -604,10 +604,10 @@ def _resolve_spec(args: argparse.Namespace) -> tuple:
             config = ClusterScenarioConfig.from_dict(data)
         else:
             config = ScenarioConfig.from_dict(data)
-        title, slug = f"scenario {path.name}", path.stem
+        title = f"scenario {path.name}"
     else:
         config = get_preset(args.preset).config
-        title, slug = f"preset {args.preset}", args.preset
+        title = f"preset {args.preset}"
     overrides = {
         field: getattr(args, field)
         for _, field, _, _ in _OVERRIDES
@@ -625,7 +625,7 @@ def _resolve_spec(args: argparse.Namespace) -> tuple:
         )
     if overrides:
         config = config.with_changes(**overrides)
-    return config, title, slug
+    return config, title
 
 
 #: Presets too big for a smoke pass (skipped by ``run --preset all``).
@@ -692,7 +692,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     from .cluster import ClusterScenarioConfig
 
     try:
-        config, title, _ = _resolve_spec(args)
+        config, title = _resolve_spec(args)
         if isinstance(config, ClusterScenarioConfig):
             return _run_cluster_config(config, title, args)
         if args.out_series or args.out_hosts or args.out_migrations:
@@ -757,7 +757,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     from .obs import profile_cluster, profile_scenario
 
     try:
-        config, title, _ = _resolve_spec(args)
+        config, title = _resolve_spec(args)
         if isinstance(config, ClusterScenarioConfig):
             _, profiler = profile_cluster(config)
         else:
@@ -828,7 +828,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if (args.resume or args.force) and not args.store:
         print("sweep: --resume/--force only make sense with --store DIR", file=sys.stderr)
         return 2
-    metrics = None
     overrides = {}
     if args.duration is not None:
         overrides["duration"] = args.duration
@@ -836,56 +835,46 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         overrides["seed"] = args.seed
     if args.preset:
         conflicting = [
-            flag
-            for flag, value, default in (
-                ("--grid", args.grid, None),
-                ("--schedulers", args.schedulers, _SWEEP_DEFAULTS["schedulers"]),
-                ("--governors", args.governors, _SWEEP_DEFAULTS["governors"]),
-                ("--v20-loads", args.v20_loads, _SWEEP_DEFAULTS["v20_loads"]),
-            )
-            if value != default
+            "--" + dest.replace("_", "-")
+            for dest, default in _SWEEP_DEFAULTS.items()
+            if getattr(args, dest) != default
         ]
         if conflicting:
             print(
-                f"sweep: --preset carries its own axes; drop {', '.join(conflicting)}",
+                f"sweep: --preset carries its own axes (--grid replaces them); "
+                f"drop {', '.join(conflicting)}",
                 file=sys.stderr,
             )
             return 2
     try:
-        if args.preset:
-            preset = get_preset(args.preset)
-            metrics = preset.metrics
-            grid = preset_grid(
-                args.preset,
-                overrides=overrides,
-                replicates=args.replicates,
-                vary_seed=not args.fixed_seed,
-            )
+        # One resolution: the preset (or the §5.3 default) gives the base
+        # config and metric set; --grid, else the preset's own axes, else the
+        # three list flags give the axes.  A --grid cell labelled like a
+        # preset cell therefore gets the same seed and the same store key.
+        preset = get_preset(args.preset) if args.preset else None
+        base = (preset.config if preset else ScenarioConfig()).with_changes(**overrides)
+        if args.grid:
+            try:
+                axes = json.loads(args.grid)
+            except json.JSONDecodeError as error:
+                raise ConfigurationError(f"--grid is not valid JSON: {error}") from None
+            if not isinstance(axes, dict):
+                raise ConfigurationError(
+                    f"--grid must be a JSON object of axes, got: {args.grid!r}"
+                )
+        elif preset:
+            axes = preset.axes
         else:
-            if args.grid:
-                try:
-                    axes = json.loads(args.grid)
-                except json.JSONDecodeError as error:
-                    print(f"--grid is not valid JSON: {error}", file=sys.stderr)
-                    return 2
-                if not isinstance(axes, dict):
-                    print(
-                        f"--grid must be a JSON object of axes, got: {args.grid!r}",
-                        file=sys.stderr,
-                    )
-                    return 2
-            else:
-                axes = {
-                    "scheduler": args.schedulers.split(","),
-                    "governor": args.governors.split(","),
-                    "v20_load": args.v20_loads.split(","),
-                }
-            base = ScenarioConfig().with_changes(**overrides)
+            axes = {
+                "scheduler": args.schedulers.split(","),
+                "governor": args.governors.split(","),
+                "v20_load": args.v20_loads.split(","),
+            }
+        if preset and not axes:
+            grid = SweepGrid.from_variants({preset.name: base}, replicates=args.replicates)
+        else:
             grid = SweepGrid(
-                axes,
-                base=base,
-                vary_seed=not args.fixed_seed,
-                replicates=args.replicates,
+                axes, base=base, vary_seed=not args.fixed_seed, replicates=args.replicates
             )
         from .obs import observed
 
@@ -893,7 +882,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         reporter = _SweepReporter(len(grid), _verbosity_of(args))
         runner = SweepRunner(
             grid,
-            metrics=metrics,
+            metrics=preset.metrics if preset else None,
             workers=args.workers,
             store=args.store,
             resume=not args.force,
@@ -925,7 +914,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         for value, summary in results.aggregate(energy, by=axis).items():
             ci = f" ± {summary['ci95'] * scale:.{digits}f}" if summary["count"] > 1 else ""
             print(
-                f"  {str(value):<14} {summary['mean'] * scale:{width}.{digits}f}{ci} "
+                f"  {str(value):<15} {summary['mean'] * scale:{width}.{digits}f}{ci} "
                 f"{unit} over {summary['count']} cells"
             )
     if args.store and not args.quiet:
@@ -1063,230 +1052,6 @@ def _cmd_store(args: argparse.Namespace) -> int:
     raise AssertionError(f"unhandled store action {args.action!r}")  # pragma: no cover
 
 
-def _replicate_seeds(root_seed: int, policy: str, replicates: int) -> list[int]:
-    """Per-replicate seeds, mirroring the sweep convention.
-
-    One replicate keeps the scenario's own seed (today's behaviour stays
-    byte-identical); several derive one deterministic seed per
-    ``policy=...,rep=k`` label exactly like
-    :func:`repro.sweep.grid.derive_cell_seed`-based sweep replicates do.
-    """
-    from .sweep.grid import derive_cell_seed
-
-    if replicates == 1:
-        return [root_seed]
-    return [
-        derive_cell_seed(root_seed, f"policy={policy},rep={rep}")
-        for rep in range(replicates)
-    ]
-
-
-def _format_ci(mean: float, ci95: float, digits: int, *, scale: float = 1.0) -> str:
-    """``mean ± ci`` (the ± only when the CI is meaningful, i.e. n > 1)."""
-    if ci95 > 0.0:
-        return f"{mean * scale:.{digits}f} ±{ci95 * scale:.{digits}f}"
-    return f"{mean * scale:.{digits}f}"
-
-
-def _cmd_cluster_compare(args: argparse.Namespace) -> int:
-    from .cluster import ClusterScenarioConfig
-    from .cluster.policies import policy_names
-    from .cluster.scenario import run_cluster_scenario
-    from .sweep.metrics import cluster_metrics
-    from .sweep.results import _mean_std_ci
-    from .telemetry.export import records_to_csv
-
-    try:
-        if args.replicates < 1:
-            raise ConfigurationError(
-                f"--replicates must be >= 1, got {args.replicates}"
-            )
-        config, title, slug = _resolve_spec(args)
-        if not isinstance(config, ClusterScenarioConfig):
-            raise ConfigurationError(
-                f"{title} is a single-host spec; cluster compare needs a "
-                "kind:cluster spec (see sweep --list-presets)"
-            )
-        if args.policies:
-            policies = [p.strip() for p in args.policies.split(",") if p.strip()]
-            if "power-budget" in policies and config.power_budget_w is None:
-                raise ConfigurationError(
-                    "the power-budget policy needs a watt cap; the scenario "
-                    "sets no power_budget_w"
-                )
-        else:
-            policies = list(policy_names())
-            if config.power_budget_w is None and "power-budget" in policies:
-                policies.remove("power-budget")
-                print(
-                    "note: skipping power-budget (the scenario sets no "
-                    "power_budget_w)",
-                    file=sys.stderr,
-                )
-        if not policies:
-            raise ConfigurationError("--policies names no policies")
-        out_dir = pathlib.Path(args.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        rows = []
-        summary_by_policy: dict[str, dict[str, dict[str, float]]] = {}
-        for policy in policies:
-            seeds = _replicate_seeds(config.seed, policy, args.replicates)
-            samples: dict[str, list[float]] = {}
-            for rep, seed in enumerate(seeds):
-                sim = run_cluster_scenario(
-                    config.with_changes(policy=policy, seed=seed)
-                )
-                for key, value in cluster_metrics(sim).items():
-                    samples.setdefault(key, []).append(float(value))
-                if rep == 0:
-                    series_path = out_dir / f"{slug}.{policy}.epochs.csv"
-                    series_path.write_text(records_to_csv(sim.epoch_records()))
-            summary = {}
-            for key, values in samples.items():
-                mean, std, ci95 = _mean_std_ci(values)
-                summary[key] = {
-                    "mean": mean,
-                    "ci95": ci95,
-                    "max": max(values),
-                    "min": min(values),
-                }
-            summary_by_policy[policy] = summary
-            rows.append(
-                [
-                    policy,
-                    _format_ci(
-                        summary["energy_kwh"]["mean"],
-                        summary["energy_kwh"]["ci95"],
-                        2,
-                        scale=1000.0,
-                    ),
-                    _format_ci(
-                        summary["hosts_on_mean"]["mean"],
-                        summary["hosts_on_mean"]["ci95"],
-                        2,
-                    ),
-                    _format_ci(
-                        summary["migrations"]["mean"],
-                        summary["migrations"]["ci95"],
-                        1,
-                    ),
-                    _format_ci(
-                        summary["sla_violations"]["mean"],
-                        summary["sla_violations"]["ci95"],
-                        1,
-                    ),
-                    _format_ci(
-                        summary["sla_mean"]["mean"],
-                        summary["sla_mean"]["ci95"],
-                        2,
-                        scale=100.0,
-                    ),
-                    f"{summary['power_peak_w']['max']:7.1f}",
-                    f"{slug}.{policy}.epochs.csv",
-                ]
-            )
-    except ConfigurationError as error:
-        print(f"cluster compare: {error}", file=sys.stderr)
-        return 2
-    replicate_note = (
-        f", {args.replicates} replicates (mean ±ci95)" if args.replicates > 1 else ""
-    )
-    print(
-        table_to_text(
-            [
-                "policy",
-                "energy Wh",
-                "hosts on",
-                "migrations",
-                "sla viol.",
-                "SLA %",
-                "peak W",
-                "series",
-            ],
-            rows,
-            title=(
-                f"{title}: {config.n_vms} VMs / {config.total_machines} machines, "
-                f"{config.duration:.0f}s per policy{replicate_note}"
-            ),
-        )
-    )
-    # PASS/FAIL on replicate means (and the cap on the *worst* replicate):
-    # a single-seed coin flip no longer decides the energy ordering.
-    checks: list[tuple[str, bool]] = []
-    if "power-budget" in summary_by_policy and config.power_budget_w is not None:
-        checks.append(
-            (
-                f"power-budget respects the {config.power_budget_w:.0f} W cap "
-                "every epoch (every replicate)",
-                summary_by_policy["power-budget"]["power_peak_w"]["max"]
-                <= config.power_budget_w,
-            )
-        )
-    if {"static", "consolidate"} <= summary_by_policy.keys():
-        checks.append(
-            (
-                "consolidate yields lower mean energy than static",
-                summary_by_policy["consolidate"]["energy_kwh"]["mean"]
-                < summary_by_policy["static"]["energy_kwh"]["mean"],
-            )
-        )
-    if "static" in summary_by_policy:
-        checks.append(
-            (
-                "static never migrates",
-                summary_by_policy["static"]["migrations"]["max"] == 0,
-            )
-        )
-    print()
-    for description, passed in checks:
-        print(f"[{'PASS' if passed else 'FAIL'}] {description}")
-    return 0 if all(passed for _, passed in checks) else 1
-
-
-def _add_cluster_parser(commands) -> None:
-    cluster = commands.add_parser(
-        "cluster",
-        help="datacenter orchestration: compare policies over one fleet",
-        description=(
-            "Compare every registered orchestration policy over one fleet "
-            "scenario.  Run one fleet with `run --preset` (per-epoch/per-host "
-            "telemetry exports via --out-series/--out-hosts); sweep a "
-            "kind:cluster preset grid with `sweep --preset`."
-        ),
-    )
-    actions = cluster.add_subparsers(dest="action", required=True)
-
-    c_compare = actions.add_parser(
-        "compare",
-        help="run every orchestration policy over one fleet and summarise",
-    )
-    compare_source = c_compare.add_mutually_exclusive_group(required=True)
-    compare_source.add_argument("--preset", help="a kind:cluster preset name")
-    compare_source.add_argument(
-        "--scenario", help="path to a cluster scenario-spec JSON file"
-    )
-    c_compare.add_argument(
-        "--policies",
-        default=None,
-        help="comma-separated policy subset (default: the whole registry)",
-    )
-    _add_overrides(c_compare, "--duration", "--seed")
-    c_compare.add_argument(
-        "--replicates",
-        type=int,
-        default=1,
-        help="runs per policy with derived per-replicate seeds; the table "
-        "then reports mean ±ci95 and the PASS/FAIL checks use means "
-        "(cap check: the worst replicate)",
-    )
-    c_compare.add_argument(
-        "--out-dir",
-        default="cluster-series",
-        help="directory for the per-policy per-epoch series CSVs",
-    )
-    c_compare.set_defaults(fn=_cmd_cluster_compare)
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argument parser (exposed for tests and docs)."""
     parser = argparse.ArgumentParser(
@@ -1410,13 +1175,16 @@ def build_parser() -> argparse.ArgumentParser:
             "optionally across a process pool.  Axes come from a named preset "
             "(--preset, see --list-presets; kind:cluster presets sweep fleets), "
             "from the three list flags, or from --grid as a JSON object mapping "
-            "ScenarioConfig fields to value lists (see the repro.sweep module docs)."
+            "config fields to value lists (see the repro.sweep module docs).  "
+            "With --preset, --grid replaces the preset's axes over its base "
+            "config, e.g. every orchestration policy over one fleet."
         ),
     )
     sweep.add_argument(
         "--preset",
         default=None,
-        help="run a named preset grid instead of the flag/JSON axes",
+        help="run a named preset grid: its base config and metrics, and its "
+        "axes unless --grid replaces them",
     )
     sweep.add_argument(
         "--list-presets",
@@ -1447,7 +1215,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--grid",
         default=None,
-        help="JSON object of axes overriding the three list flags",
+        help="JSON object of axes overriding the three list flags, or the "
+        "--preset's own axes",
     )
     sweep.add_argument(
         "--duration",
@@ -1650,8 +1419,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--list-rules", action="store_true", help="print the rule catalogue and exit"
     )
     lint.set_defaults(fn=_cmd_lint)
-
-    _add_cluster_parser(commands)
 
     return parser
 

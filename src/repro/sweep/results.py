@@ -38,6 +38,16 @@ def _mean_std_ci(values: Sequence[float]) -> tuple[float, float, float]:
     return mean, std, ci95
 
 
+def _metric_text(value: Any) -> Any:
+    """A summary-table cell: floats below 1 in magnitude keep four
+    significant digits, so a small nonzero value (fleet kWh) never reads
+    ``0.00`` and a fraction below 1 (an SLA miss) never reads ``1.00``;
+    everything else goes to the table's own two-decimal rendering."""
+    if isinstance(value, float) and math.isfinite(value) and 0.0 < abs(value) < 1.0:
+        return f"{value:.{3 - math.floor(math.log10(abs(value)))}f}"
+    return value
+
+
 @dataclass(frozen=True)
 class CellResult:
     """The reduced outcome of one grid cell."""
@@ -162,7 +172,7 @@ class SweepResults:
             row: list[object] = [cell.label]
             for name in metrics:
                 value = cell.metrics.get(name)
-                row.append("-" if value is None else value)
+                row.append("-" if value is None else _metric_text(value))
             rows.append(row)
         return table_to_text(["cell", *metrics], rows, title=title)
 

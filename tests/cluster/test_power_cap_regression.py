@@ -1,11 +1,14 @@
-"""Pinned reproduction of the power-budget cap overshoot (ROADMAP dir. 4).
+"""Pinned reproduction of the power-budget cap overshoot.
 
-``repro cluster compare --replicates`` first surfaced this: on the
-``dc-diurnal-small`` preset under the ``power-budget`` policy, some
-replicates peak well above the 80 W fleet budget — 91.9 W on the worst one.
-The policy reacts one epoch late: machines are packed against the budget
-using the *previous* epoch's demand, so a steep diurnal ramp lands on a
-fleet already at the cap.
+``repro sweep --preset dc-diurnal-small --seed 11 --replicates 10`` shows
+it: under the ``power-budget`` policy, some replicates peak well above the
+80 W fleet budget — 91.9 W on the worst one.  That epoch (t = 40 s) is a
+consolidation epoch: two VMs migrate from ``m001`` to ``m000``, and the
+drained source ``m001`` still draws 23.15 W for the dirty-page copy while
+``m000`` draws 68.8 W.  ``PowerBudgetPolicy.plan`` sums predicted watts
+over the hosts of the *new* assignment only, so a migration source that
+ends the epoch empty is never counted against the budget nor
+frequency-pinned, although the orchestrator holds it on through the epoch.
 
 The test is ``xfail(strict=True)``: it documents the defect as a
 reproducible failing case, and the moment a budget-policy fix makes the
@@ -19,17 +22,17 @@ from repro.cluster.scenario import run_cluster_scenario
 from repro.experiments.presets import get_preset
 from repro.sweep.grid import derive_cell_seed
 
-#: Root seed 11 is what `repro cluster compare --seed 11 --replicates 10`
-#: uses; replicate 0's derived cell seed is the worst observed offender.
+#: Root seed 11 with `repro sweep --preset dc-diurnal-small --replicates 10`;
+#: the power-budget cell's replicate 0 seed is the worst observed offender.
 OFFENDING_SEED = derive_cell_seed(11, "policy=power-budget,rep=0")
 
 
 @pytest.mark.xfail(
     strict=True,
     reason=(
-        "known defect (ROADMAP direction 4): power-budget packs against the "
-        "previous epoch's demand, so the dc-diurnal-small ramp overshoots "
-        f"the 80 W budget (91.9 W peak at derived seed {OFFENDING_SEED})"
+        "known defect: PowerBudgetPolicy.plan leaves a drained migration "
+        "source out of its power sum, so a dc-diurnal-small consolidation "
+        f"epoch overshoots the 80 W budget (91.9 W peak at derived seed {OFFENDING_SEED})"
     ),
 )
 def test_power_budget_policy_respects_fleet_cap():

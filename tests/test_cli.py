@@ -201,10 +201,13 @@ def test_sweep_unknown_preset_lists_choices(capsys):
 
 
 def test_sweep_preset_rejects_conflicting_axis_flags(capsys):
-    assert main(["sweep", "--preset", "governors", "--grid", '{"scheduler": ["sedf"]}']) == 2
-    assert "--grid" in capsys.readouterr().err
+    # --grid replaces a preset's axes; the three list flags still conflict.
+    assert main(["sweep", "--preset", "governors", "--grid", '{"scheduler": ["sedf"]}']) == 0
+    assert "sweep: 1 cells, axes scheduler" in capsys.readouterr().out
     assert main(["sweep", "--preset", "governors", "--schedulers", "sedf"]) == 2
-    assert "--schedulers" in capsys.readouterr().err
+    assert "drop --schedulers" in capsys.readouterr().err
+    assert main(["sweep", "--preset", "governors", "--v20-loads", "exact"]) == 2
+    assert "drop --v20-loads" in capsys.readouterr().err
 
 
 def test_sweep_replicates_expand_cells(capsys):
@@ -430,8 +433,9 @@ def test_cluster_run_rejects_scenario_presets(capsys):
     err = capsys.readouterr().err
     assert "unknown scenario config field(s) 'policy'" in err
     assert "valid fields" in err
-    assert main(["cluster", "compare", "--preset", "governors"]) == 2
-    assert "kind:cluster" in capsys.readouterr().err
+    grid = '{"policy": ["static"]}'
+    assert main(["sweep", "--preset", "governors", "--grid", grid]) == 2
+    assert "unknown sweep axis 'policy'" in capsys.readouterr().err
 
 
 def test_cluster_run_policy_override(capsys):
@@ -471,70 +475,56 @@ def test_run_fleet_spec_round_trips_through_out(capsys, tmp_path):
     assert "policy=static" in second
 
 
-def test_cluster_compare_writes_series_and_passes_checks(capsys, tmp_path):
-    out_dir = tmp_path / "series"
-    assert (
-        main(
-            [
-                "cluster",
-                "compare",
-                "--preset",
-                "dc-diurnal-small",
-                "--out-dir",
-                str(out_dir),
-            ]
-        )
-        == 0
-    )
-    out = capsys.readouterr().out
-    assert "[PASS] power-budget respects the 80 W cap every epoch" in out
-    assert "[PASS] consolidate yields lower mean energy than static" in out
-    assert "[FAIL]" not in out
-    for policy in ("static", "consolidate", "load-balance", "power-budget"):
-        path = out_dir / f"dc-diurnal-small.{policy}.epochs.csv"
-        assert path.exists()
-        assert path.read_text().startswith("epoch,time,machines_on,")
+def test_sweep_policy_grid_replicates_reports_ci(capsys, tmp_path):
+    import csv
+    import json
+
+    from repro.experiments import get_preset
+    from repro.sweep.grid import derive_cell_seed
+
+    out, agg = tmp_path / "cells.json", tmp_path / "agg.csv"
+    grid = '{"policy": ["static", "consolidate"]}'
+    argv = ["sweep", "--preset", "dc-diurnal-small", "--grid", grid, "--replicates", "3"]
+    assert main(argv + ["--out", str(out), "--out-aggregated", str(agg)]) == 0
+    assert "mean fleet energy by policy:" in capsys.readouterr().out
+    rows = list(csv.DictReader(agg.open()))
+    assert [row["label"] for row in rows] == ["policy=static", "policy=consolidate"]
+    assert all(row["replicates"] == "3" for row in rows)
+    assert any(float(row["energy_kwh_ci95"]) > 0.0 for row in rows)
+    root = get_preset("dc-diurnal-small").config.seed
+    cells = json.loads(out.read_text())["cells"]
+    assert [cell["seed"] for cell in cells if cell["params"]["policy"] == "static"] == [
+        derive_cell_seed(root, f"policy=static,rep={rep}") for rep in range(3)
+    ]
 
 
-def test_cluster_compare_replicates_reports_ci(capsys, tmp_path):
-    out_dir = tmp_path / "series"
-    main(
-        [
-            "cluster",
-            "compare",
-            "--preset",
-            "dc-diurnal-small",
-            "--policies",
-            "static,consolidate",
-            "--replicates",
-            "3",
-            "--out-dir",
-            str(out_dir),
-        ]
-    )
-    out = capsys.readouterr().out
-    assert "3 replicates (mean ±ci95)" in out
-    assert "±" in out  # at least one metric spreads across seeds
-    assert "[PASS] consolidate yields lower mean energy than static" in out
-    # Replicate runs still write one epochs CSV per policy (first replicate).
-    assert (out_dir / "dc-diurnal-small.static.epochs.csv").exists()
+def test_sweep_rejects_bad_replicates(capsys):
+    assert main(["sweep", "--preset", "dc-diurnal-small", "--replicates", "0"]) == 2
+    assert "replicates must be >= 1" in capsys.readouterr().err
 
 
-def test_cluster_compare_rejects_bad_replicates(capsys):
-    assert (
-        main(
-            [
-                "cluster",
-                "compare",
-                "--preset",
-                "dc-diurnal-small",
-                "--replicates",
-                "0",
-            ]
-        )
-        == 2
-    )
-    assert "--replicates must be >= 1" in capsys.readouterr().err
+def test_sweep_preset_grid_shares_store_keys_with_the_preset(capsys, tmp_path):
+    store = str(tmp_path / "store")
+    grid = '{"policy": ["static"]}'
+    assert main(["sweep", "--preset", "dc-diurnal-small", "--grid", grid, "--store", store]) == 0
+    capsys.readouterr()
+    assert main(["sweep", "--preset", "dc-diurnal-small", "--store", store]) == 0
+    assert "1 cells warm, 3 computed" in capsys.readouterr().out
+
+
+def test_sweep_fleet_table_keeps_small_values_visible(capsys):
+    grid = '{"policy": ["static", "load-balance"]}'
+    assert main(["sweep", "--preset", "dc-diurnal-small", "--fixed-seed", "--grid", grid]) == 0
+    rows = {
+        line.split()[0]: line.split()[1:]
+        for line in capsys.readouterr().out.splitlines()
+        if line.startswith("policy=")
+    }
+    # columns: energy_kwh hosts_on_mean migrations sla_violations power_peak_w sla_mean
+    assert rows["policy=static"][0] == "0.004368"
+    assert rows["policy=load-balance"][0] == "0.005581"
+    assert rows["policy=load-balance"][-1] == "0.9978"
+    assert rows["policy=static"][-1] == "1.00"
 
 
 def test_cluster_sweep_store_resumes_warm(capsys, tmp_path):

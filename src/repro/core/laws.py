@@ -17,16 +17,21 @@ correction factor validated in §5.2 and measured per machine in Table 1.
 * **Listing 1.1**: the lowest frequency whose capacity exceeds the current
   absolute load.
 
-These functions are the single source of truth: the PAS scheduler, both
-user-level managers, the stable governor and the validation experiments all
-call into this module.
+Each law lives here once.  Callers: Eq. 1 and Listing 1.1, the §4.1
+control loop (:mod:`~repro.core.control`: PAS and both user-level managers),
+the governors and the fleet machine model; Eq. 4, the control loop, Fig. 1
+and the ``calib-compensation`` preset; Eqs. 2 and 3, the §5.2 validation.
 """
 
 from __future__ import annotations
 
+from typing import Hashable, TypeVar
+
 from ..cpu.freq_table import FrequencyTable
 from ..errors import ConfigurationError
 from ..units import check_non_negative, check_positive
+
+K = TypeVar("K", bound=Hashable)
 
 
 def frequency_ratio(freq_mhz: float, max_freq_mhz: float) -> float:
@@ -125,14 +130,14 @@ def compute_new_frequency(
 def compensated_caps(
     table: FrequencyTable,
     freq_mhz: int,
-    initial_credits: dict[str, float],
+    initial_credits: dict[K, float],
     *,
     use_cf: bool = True,
-) -> dict[str, float]:
+) -> dict[K, float]:
     """Listing 1.2's loop body: Eq.-4 credits for every VM at *freq_mhz*.
 
-    Returns ``{domain_name: new_cap_percent}``.  Pure helper shared by the
-    PAS scheduler and both user-level managers.
+    Maps each key of *initial_credits* (a domain or its name) to its new
+    cap in percent, in the same order.
     """
     state = table.state_for(freq_mhz)
     ratio = state.ratio_to(table.max_state.freq_mhz)

@@ -16,15 +16,14 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from ..sim import PeriodicTimer
-from ..units import check_non_negative, check_positive
-from . import laws
+from .control import UserLevelManager, booked_caps
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..hypervisor.domain import Domain
     from ..hypervisor.host import Host
 
 
-class UserCreditManager:
+class UserCreditManager(UserLevelManager):
     """Polls the frequency; rescales VM caps by Eq. 4 (§4.1 design 1).
 
     Parameters
@@ -32,43 +31,23 @@ class UserCreditManager:
     host:
         The host whose scheduler's caps are managed (the scheduler must
         support caps, i.e. be the Credit family).
-    poll_period:
-        Seconds between polls of the current frequency.
-    reaction_latency_s:
-        Seconds between reading the frequency and the caps taking effect
-        (models the user-level round trip through hypercalls/sysfs).
     update_dom0:
         Whether Dom0's cap is rescaled too.
     use_cf:
         Apply the correction factor ``cf`` in Eq. 4.
+    Remaining keyword arguments (``poll_period``, ``reaction_latency_s``)
+    go to :class:`~repro.core.control.UserLevelManager`.
     """
 
+    label = "user-credit-manager"
+
     def __init__(
-        self,
-        host: "Host",
-        *,
-        poll_period: float = 1.0,
-        reaction_latency_s: float = 0.05,
-        update_dom0: bool = True,
-        use_cf: bool = True,
+        self, host: "Host", *, update_dom0: bool = True, use_cf: bool = True, **kwargs
     ) -> None:
-        self._host = host
-        self.poll_period = check_positive(poll_period, "poll_period")
-        self.reaction_latency_s = check_non_negative(reaction_latency_s, "reaction_latency_s")
+        super().__init__(host, **kwargs)
         self.update_dom0 = update_dom0
         self.use_cf = use_cf
-        self._timer = PeriodicTimer(
-            host.engine, self.poll_period, self._poll, label="user-credit-manager"
-        )
         self._applied_caps = 0
-
-    def start(self) -> None:
-        """Begin polling."""
-        self._timer.start()
-
-    def stop(self) -> None:
-        """Stop polling (pending applications still fire)."""
-        self._timer.stop()
 
     @property
     def applied_caps(self) -> int:
@@ -78,29 +57,13 @@ class UserCreditManager:
     # ------------------------------------------------------------ internals
 
     def _poll(self, now: float) -> None:
-        freq_mhz = self._host.processor.frequency_mhz
-        initial_credits = {
-            domain.name: domain.credit
-            for domain in self._host.domains
-            if (self.update_dom0 or not domain.is_dom0) and domain.credit > 0
-        }
-        caps = laws.compensated_caps(
-            self._host.processor.table, freq_mhz, initial_credits, use_cf=self.use_cf
-        )
-        if self.reaction_latency_s > 0:
-            self._host.engine.schedule(
-                self.reaction_latency_s,
-                lambda: self._apply(caps),
-                label="user-credit-manager.apply",
-            )
-        else:
-            self._apply(caps)
+        host = self._host
+        freq_mhz = host.processor.frequency_mhz
+        caps = booked_caps(host, freq_mhz, update_dom0=self.update_dom0, use_cf=self.use_cf)
+        self._actuate(lambda: self._apply(caps))
 
-    def _apply(self, caps: dict[str, float]) -> None:
-        scheduler = self._host.scheduler
-        for domain in self._host.domains:
-            cap = caps.get(domain.name)
-            if cap is not None:
-                scheduler.set_cap(domain, cap)
-                self._applied_caps += 1
+    def _apply(self, caps: dict["Domain", float]) -> None:
+        for domain, cap in caps.items():
+            self._host.scheduler.set_cap(domain, cap)
+            self._applied_caps += 1
         self._host.kick()

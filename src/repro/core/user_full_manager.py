@@ -8,145 +8,59 @@ Unlike design 1 this manager owns the frequency (the host must run the
 ``userspace`` governor) and so can update credits *whenever the frequency
 changes* — but it still lives outside the hypervisor, paying the same
 reaction latency on every actuation.  The in-scheduler PAS (design 3) is
-this loop moved into the scheduler tick.
+this loop (:class:`~repro.core.control.ControlLoop`) moved into the
+scheduler tick.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import TYPE_CHECKING
 
-from ..errors import ConfigurationError
-from ..sim import PeriodicTimer
-from ..units import check_non_negative, check_positive
-from . import laws
+from .control import ControlLoop, UserLevelManager, require_userspace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..hypervisor.domain import Domain
     from ..hypervisor.host import Host
 
 
-class UserFullManager:
+class UserFullManager(ControlLoop, UserLevelManager):
     """Monitors loads; sets frequency and Eq.-4 caps (§4.1 design 2).
 
-    Parameters
-    ----------
-    host:
-        The managed host (must run the ``userspace`` governor).
-    poll_period:
-        Seconds between load samples (one utilisation window each).
-    window:
-        Successive samples averaged (paper footnote 5: 3).
-    margin_percent:
-        Head-room added to the absolute load before frequency selection.
-    reaction_latency_s:
-        Seconds between deciding and the frequency/caps taking effect.
-    update_dom0:
-        Whether Dom0's cap is rescaled too.
-    use_cf:
-        Apply the correction factor ``cf``.
+    *host* must run the ``userspace`` governor.  Keyword arguments are the
+    :class:`~repro.core.control.ControlLoop` knobs (``window``,
+    ``margin_percent``, ``update_dom0``, ``use_cf``) and the
+    :class:`~repro.core.control.UserLevelManager` ones (``poll_period``:
+    one utilisation window per poll; ``reaction_latency_s``).
     """
 
-    def __init__(
-        self,
-        host: "Host",
-        *,
-        poll_period: float = 1.0,
-        window: int = 3,
-        margin_percent: float = 0.0,
-        reaction_latency_s: float = 0.05,
-        update_dom0: bool = True,
-        use_cf: bool = True,
-    ) -> None:
-        if host.governor.name != "userspace":
-            raise ConfigurationError(
-                "UserFullManager drives the frequency itself and needs the "
-                f"'userspace' governor, but the host runs {host.governor.name!r}"
-            )
-        if window < 1:
-            raise ConfigurationError(f"window must be >= 1, got {window}")
-        self._host = host
-        self.poll_period = check_positive(poll_period, "poll_period")
-        self.window = window
-        self.margin_percent = check_non_negative(margin_percent, "margin_percent")
-        self.reaction_latency_s = check_non_negative(reaction_latency_s, "reaction_latency_s")
-        self.update_dom0 = update_dom0
-        self.use_cf = use_cf
-        self._samples: deque[float] = deque(maxlen=window)
-        self._last_sample_time = 0.0
-        self._last_busy_seconds = 0.0
-        self._timer = PeriodicTimer(
-            host.engine, self.poll_period, self._poll, label="user-full-manager"
-        )
+    label = "user-full-manager"
+
+    def __init__(self, host: "Host", **kwargs) -> None:
+        require_userspace(host, "UserFullManager")
+        super().__init__(host=host, **kwargs)
         self._decisions = 0
-
-    def start(self) -> None:
-        """Begin the monitor/decide/apply loop."""
-        self._timer.start()
-
-    def stop(self) -> None:
-        """Stop the loop (pending applications still fire)."""
-        self._timer.stop()
 
     @property
     def decisions(self) -> int:
         """Number of frequency+caps decisions applied (telemetry/tests)."""
         return self._decisions
 
-    @property
-    def averaged_absolute_load(self) -> float:
-        """Mean of the retained absolute-load samples."""
-        if not self._samples:
-            return 0.0
-        return sum(self._samples) / len(self._samples)
-
     # ------------------------------------------------------------ internals
 
     def _poll(self, now: float) -> None:
         host = self._host
+        # A billing boundary: the loop also reads scheduler state.
         host.sync_accounting()
-        processor = host.processor
-        window_dt = now - self._last_sample_time
-        busy = processor.busy_seconds - self._last_busy_seconds
-        self._last_sample_time = now
-        self._last_busy_seconds = processor.busy_seconds
-        if window_dt <= 0:
-            return
-        nominal = max(0.0, min(100.0, 100.0 * busy / window_dt))
-        cf = processor.cf if self.use_cf else 1.0
-        self._samples.append(laws.absolute_load(nominal, processor.ratio, cf))
-        if len(self._samples) < self.window:
-            return
-        new_freq = laws.compute_new_frequency(
-            processor.table,
-            self.averaged_absolute_load,
-            margin_percent=self.margin_percent,
-            use_cf=self.use_cf,
-        )
-        initial_credits = {
-            domain.name: domain.credit
-            for domain in host.domains
-            if (self.update_dom0 or not domain.is_dom0) and domain.credit > 0
-        }
-        caps = laws.compensated_caps(
-            processor.table, new_freq, initial_credits, use_cf=self.use_cf
-        )
-        if self.reaction_latency_s > 0:
-            host.engine.schedule(
-                self.reaction_latency_s,
-                lambda: self._apply(new_freq, caps),
-                label="user-full-manager.apply",
-            )
-        else:
-            self._apply(new_freq, caps)
+        self._sample(host)
+        decision = self._decide(host)
+        if decision is not None:
+            self._actuate(lambda: self._apply(*decision))
 
-    def _apply(self, freq_mhz: int, caps: dict[str, float]) -> None:
+    def _apply(self, freq_mhz: int, caps: dict["Domain", float]) -> None:
         host = self._host
-        scheduler = host.scheduler
         # Listing 1.2's order: credits first, then the frequency.
-        for domain in host.domains:
-            cap = caps.get(domain.name)
-            if cap is not None:
-                scheduler.set_cap(domain, cap)
+        for domain, cap in caps.items():
+            host.scheduler.set_cap(domain, cap)
         host.cpufreq.set_speed(freq_mhz)
         self._decisions += 1
         host.kick()

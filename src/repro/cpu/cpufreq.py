@@ -189,7 +189,8 @@ class CpuFreq:
 
         "Nominal" means relative to the *current* frequency's wall-clock —
         this is what /proc/stat-style sampling sees and what the stock
-        ondemand governor bases decisions on.
+        ondemand governor bases decisions on.  The ``userspace`` governor
+        never samples, so the PAS control loop samples here on its own clock.
         """
         now = self._engine.now
         window = now - self._last_sample_time

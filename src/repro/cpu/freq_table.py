@@ -1,9 +1,10 @@
 """The ordered set of P-states a processor supports.
 
 Mirrors the kernel's ``scaling_available_frequencies``: an immutable,
-ascending-by-frequency table with lookups by exact frequency, neighbours for
-conservative (one-step) governors, and the "lowest state that can absorb a
-given absolute load" query at the heart of the paper's Listing 1.1.
+ascending-by-frequency table with lookups by exact frequency and neighbours
+for conservative (one-step) governors.  The paper's Listing 1.1 ("lowest
+state that absorbs a given absolute load") walks this table in
+:func:`repro.core.laws.compute_new_frequency`.
 """
 
 from __future__ import annotations
@@ -106,20 +107,6 @@ class FrequencyTable:
     def capacity_fraction(self, freq_mhz: int) -> float:
         """``ratio * cf`` of the state at *freq_mhz* (fraction of max speed)."""
         return self.state_for(freq_mhz).capacity_fraction(self.max_state.freq_mhz)
-
-    def lowest_absorbing(self, absolute_load_percent: float, *, margin_percent: float = 0.0) -> PState:
-        """Paper Listing 1.1: the lowest P-state whose capacity absorbs a load.
-
-        Iterates ascending and returns the first state with
-        ``ratio * 100 * cf > absolute_load_percent + margin_percent``; the maximum
-        state if none qualifies.  *margin_percent* (percentage points) implements the
-        head-room used by hysteretic governors.
-        """
-        for state in self._states:
-            capacity_percent = state.capacity_fraction(self.max_state.freq_mhz) * 100.0
-            if capacity_percent > absolute_load_percent + margin_percent:
-                return state
-        return self.max_state
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"FrequencyTable({list(self.frequencies)})"

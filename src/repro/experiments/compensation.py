@@ -16,9 +16,8 @@ from dataclasses import dataclass
 from ..core import laws
 from ..cpu import catalog
 from ..cpu.processor import ProcessorSpec
-from ..hypervisor.host import Host
-from ..workloads import PiApp
 from .report import ExperimentReport
+from .validation import pi_time_at
 
 
 @dataclass(frozen=True)
@@ -34,20 +33,6 @@ class CompensationPoint:
     def gap_percent(self) -> float:
         """Relative difference between the two execution times."""
         return 100.0 * abs(self.time_at_reduced - self.time_at_max) / self.time_at_max
-
-
-def _run_pi(
-    processor: ProcessorSpec, freq_mhz: int, credit_cap: float, work: float
-) -> float:
-    host = Host(processor=processor, scheduler="credit", governor="userspace")
-    vm = host.create_domain("pi", credit=min(credit_cap, 100.0), cap=credit_cap)
-    app = PiApp(work)
-    vm.attach_workload(app)
-    host.start()
-    host.cpufreq.set_speed(freq_mhz)
-    while not app.done and host.now < 20000.0:
-        host.run(until=host.now + 100.0)
-    return app.execution_time
 
 
 def run_compensation(
@@ -66,8 +51,8 @@ def run_compensation(
     points: list[CompensationPoint] = []
     for credit in credits:
         new_credit = laws.compensated_credit(credit, ratio, reduced.cf)
-        time_max = _run_pi(processor, max_freq, credit, work)
-        time_reduced = _run_pi(processor, reduced.freq_mhz, new_credit, work)
+        time_max = pi_time_at(processor, max_freq, credit, work, horizon=20000.0)
+        time_reduced = pi_time_at(processor, reduced.freq_mhz, new_credit, work, horizon=20000.0)
         points.append(
             CompensationPoint(
                 initial_credit=credit,

@@ -45,13 +45,13 @@ Calibration presets (the paper's measurement micro-scenarios as named
 grids, so ``run --preset all`` exercises every law the model rests on):
 
 ``calib-eq1``
-    Eq. 1 proportionality: one uncapped pi batch on the Optiplex 755
-    (``cf = 1``), pinned at each catalog frequency — execution time must
-    scale as ``1/ratio``.
+    Eq. 2 at ``cf = 1``: one uncapped pi batch on the Optiplex 755,
+    pinned at each catalog frequency — execution time must scale as
+    ``1/ratio``.
 ``calib-eq2``
-    Eq. 2 correction factor: the same ladder on the i7-3770
-    (``cf_min = 0.86``) — the memory-bound deviation from pure
-    proportionality.
+    Eq. 2 at ``cf < 1``: the same ladder on the i7-3770
+    (``cf_min = 0.86``) — execution time scales as ``1/(ratio * cf)``,
+    the memory-bound deviation from pure proportionality.
 ``calib-eq3``
     Eq. 3 capacity: a credit-cap ladder at the pinned maximum frequency —
     execution time must scale as ``100/cap``.
@@ -365,7 +365,7 @@ def _calib_config(**changes) -> ScenarioConfig:
 def _calib_eq1() -> Preset:
     return Preset(
         name="calib-eq1",
-        description="Eq. 1 proportionality: pi time vs pinned frequency (cf = 1)",
+        description="Eq. 2 at cf = 1: pi time vs pinned frequency",
         config=_calib_config(),
         axes={
             "cpufreq_max_mhz": tuple(
@@ -379,7 +379,7 @@ def _calib_eq1() -> Preset:
 def _calib_eq2() -> Preset:
     return Preset(
         name="calib-eq2",
-        description="Eq. 2 correction factor: the frequency ladder on the i7-3770",
+        description="Eq. 2 at cf < 1: pi time vs pinned frequency on the i7-3770",
         config=_calib_config(processor=catalog.CORE_I7_3770),
         axes={
             "cpufreq_max_mhz": tuple(

@@ -14,10 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..core import laws
 from ..cpu import catalog
 from ..cpu.processor import ProcessorSpec
 from ..hypervisor.host import Host
-from ..workloads import ConstantLoad, PiApp
+from ..platforms.calibration import measure_load
+from ..workloads import PiApp
 from .report import ExperimentReport
 
 
@@ -44,17 +46,10 @@ def validate_frequency_load(
     table = processor.table()
     max_freq = table.max_state.freq_mhz
     for demand in demands:
-        loads: dict[int, float] = {}
-        for state in table:
-            host = Host(processor=processor, scheduler="credit", governor="userspace")
-            vm = host.create_domain("load", credit=0)
-            vm.attach_workload(ConstantLoad(demand, injection_period=0.02))
-            host.start()
-            host.cpufreq.set_speed(state.freq_mhz)
-            host.run(until=settle + window)
-            loads[state.freq_mhz] = (
-                host.recorder.series("host.global_load").window(settle, settle + window).mean()
-            )
+        loads = {
+            s.freq_mhz: measure_load(processor, s.freq_mhz, demand, settle=settle, window=window)
+            for s in table
+        }
         load_max = loads[max_freq]
         for state in table:
             ratio = state.freq_mhz / max_freq
@@ -94,11 +89,16 @@ def validate_frequency_load(
     return points, report
 
 
-def _pi_time_at(
-    processor: ProcessorSpec, freq_mhz: int, credit: float, work: float, horizon: float
+def pi_time_at(
+    processor: ProcessorSpec, freq_mhz: int, credit: float, work: float, *, horizon: float
 ) -> float:
+    """Pi-app time at a pinned *freq_mhz* under a *credit* cap (§5.2 probe, Fig. 1).
+
+    Books ``min(credit, 100)``: a Fig. 1 compensated credit may exceed the
+    whole processor.  Gives up at *horizon* seconds.
+    """
     host = Host(processor=processor, scheduler="credit", governor="userspace")
-    vm = host.create_domain("pi", credit=credit)
+    vm = host.create_domain("pi", credit=min(credit, 100.0), cap=credit)
     app = PiApp(work)
     vm.attach_workload(app)
     host.start()
@@ -121,11 +121,11 @@ def validate_frequency_time(
         experiment="Validation (Eq. 2)",
         title="proportionality of frequency and execution time (pi-app)",
     )
-    time_max = _pi_time_at(processor, max_freq, credit, work, horizon=4000.0)
+    time_max = pi_time_at(processor, max_freq, credit, work, horizon=4000.0)
     for state in table:
-        time_i = _pi_time_at(processor, state.freq_mhz, credit, work, horizon=8000.0)
+        time_i = pi_time_at(processor, state.freq_mhz, credit, work, horizon=8000.0)
         ratio = state.freq_mhz / max_freq
-        expected = time_max / (ratio * state.cf)
+        expected = laws.execution_time_at_frequency(time_max, ratio, state.cf)
         report.add_row(
             f"T @ {state.freq_mhz} MHz",
             f"{expected:.1f}s (Eq. 2)",
@@ -152,11 +152,10 @@ def validate_credit_time(
         title="proportionality of credit and execution time (pi-app, max frequency)",
     )
     baseline_credit = credits[0]
-    time_baseline = _pi_time_at(processor, max_freq, baseline_credit, work, horizon=8000.0)
+    time_baseline = pi_time_at(processor, max_freq, baseline_credit, work, horizon=8000.0)
     for credit in credits:
-        time_j = _pi_time_at(processor, max_freq, credit, work, horizon=8000.0)
-        # Eq. 3: T_init / T_j = C_j / C_init.
-        expected = time_baseline * baseline_credit / credit
+        time_j = pi_time_at(processor, max_freq, credit, work, horizon=8000.0)
+        expected = laws.execution_time_at_credit(time_baseline, baseline_credit, credit)
         report.add_row(
             f"T @ credit {credit:.0f}%",
             f"{expected:.1f}s (Eq. 3)",

@@ -12,6 +12,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING
 
+from ..core import laws
 from ..errors import ConfigurationError
 from ..obs import hooks as _obs
 
@@ -94,4 +95,4 @@ class Governor(ABC):
         the processor load the same demand would impose at full speed (§4.2).
         """
         processor = self.cpufreq.processor
-        return nominal_load_percent * processor.ratio * processor.cf
+        return laws.absolute_load(nominal_load_percent, processor.ratio, processor.cf)

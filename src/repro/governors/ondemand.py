@@ -14,6 +14,7 @@ thresholds and the governor bounces between P-states.
 
 from __future__ import annotations
 
+from ..core import laws
 from ..errors import ConfigurationError
 from ..units import check_percent, check_positive
 from .base import Governor
@@ -85,4 +86,4 @@ class OndemandGovernor(Governor):
         # `target = cur * load / up_threshold`, expressed through capacities.
         absolute = self.absolute_load_percent(load_percent)
         required = absolute * 100.0 / self.up_threshold
-        return table.lowest_absorbing(required).freq_mhz
+        return laws.compute_new_frequency(table, required)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from collections import deque
 
+from ..core import laws
 from ..errors import ConfigurationError
 from ..units import check_non_negative, check_percent, check_positive
 from .base import Governor
@@ -97,12 +98,12 @@ class StableGovernor(Governor):
         if now - self._last_change < self.dwell:
             return None
         if self.averaged_nominal_load >= self.up_threshold:
-            target = self.table.max_state
+            target = self.table.max_state.freq_mhz
         else:
-            target = self.table.lowest_absorbing(
-                self.averaged_absolute_load, margin_percent=self.margin_percent
+            target = laws.compute_new_frequency(
+                self.table, self.averaged_absolute_load, margin_percent=self.margin_percent
             )
-        if target.freq_mhz != self.cpufreq.processor.frequency_mhz:
+        if target != self.cpufreq.processor.frequency_mhz:
             self._last_change = now
-            return target.freq_mhz
+            return target
         return None

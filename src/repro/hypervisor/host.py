@@ -456,13 +456,6 @@ class Host:
             return self._idle_energy + self._open_energy()
         return self._idle_energy
 
-    # ------------------------------------------------------------ shorthand
-
-    @property
-    def absolute_load_scale(self) -> float:
-        """Current ``ratio * cf`` — multiply a nominal load to get absolute."""
-        return self.processor.ratio * self.processor.cf
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         running = self._current.name if self._current else "idle"
         return (

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..cpu.processor import ProcessorSpec
+from ..cpu.pstate import PState
 from ..hypervisor.host import Host
 from ..units import check_positive
 from ..workloads import ConstantLoad
@@ -41,8 +42,13 @@ class CalibrationResult:
         return abs(self.cf_measured - self.cf_spec) / self.cf_spec
 
 
-def _measure_load(spec: ProcessorSpec, freq_mhz: int, demand_percent: float, *, settle: float, window: float) -> float:
-    """Mean nominal host load with *demand_percent* absolute demand at *freq_mhz*."""
+def measure_load(
+    spec: ProcessorSpec, freq_mhz: int, demand_percent: float, *, settle: float, window: float
+) -> float:
+    """Mean nominal host load with *demand_percent* absolute demand at *freq_mhz*.
+
+    The §5.2 load probe; the Eq. 1 validation runs it too.
+    """
     host = Host(processor=spec, scheduler="credit", governor="userspace")
     vm = host.create_domain("load", credit=0)  # null credit: uncapped (§3.1)
     vm.attach_workload(ConstantLoad(demand_percent, injection_period=0.02))
@@ -63,10 +69,9 @@ def calibrate_cf_min(
 
     *demand_percent* must fit the minimum frequency's capacity or the load
     saturates and Eq. 1 cannot be solved; 15 % fits every catalog machine.
+    Probes only the maximum and minimum states.
     """
-    return calibrate_cf_table(
-        spec, demand_percent=demand_percent, settle=settle, window=window
-    )[0]
+    return _calibrate(spec, spec.table().states[:1], demand_percent, settle, window)[0]
 
 
 def calibrate_cf_table(
@@ -82,15 +87,25 @@ def calibrate_cf_table(
     processor frequencies and we drew for each workload the ratios
     L(freqmax)/L(freq) and freq/freqmax, in order to compute the cf values".
     """
+    return _calibrate(spec, spec.table().states, demand_percent, settle, window)
+
+
+def _calibrate(
+    spec: ProcessorSpec,
+    states: tuple[PState, ...],
+    demand_percent: float,
+    settle: float,
+    window: float,
+) -> list[CalibrationResult]:
+    """Measure ``cf`` at each non-maximum state of *states* (each probe is its own host)."""
     check_positive(demand_percent, "demand_percent")
-    table = spec.table()
-    max_freq = table.max_state.freq_mhz
-    load_at_max = _measure_load(spec, max_freq, demand_percent, settle=settle, window=window)
+    max_freq = spec.table().max_state.freq_mhz
+    load_at_max = measure_load(spec, max_freq, demand_percent, settle=settle, window=window)
     results = []
-    for state in table:
+    for state in states:
         if state.freq_mhz == max_freq:
             continue
-        load_at_freq = _measure_load(
+        load_at_freq = measure_load(
             spec, state.freq_mhz, demand_percent, settle=settle, window=window
         )
         ratio = state.freq_mhz / max_freq

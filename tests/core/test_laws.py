@@ -71,6 +71,7 @@ def test_eq4_round_trip_preserves_absolute_capacity():
 def test_listing11_picks_lowest_absorbing():
     table = catalog.OPTIPLEX_755.table()
     assert laws.compute_new_frequency(table, 20.0) == 1600
+    assert laws.compute_new_frequency(table, 50.0) == 1600  # 60% > 50%
     assert laws.compute_new_frequency(table, 55.0) == 1600
     assert laws.compute_new_frequency(table, 65.0) == 1867
     assert laws.compute_new_frequency(table, 95.0) == 2667
@@ -85,17 +86,21 @@ def test_listing11_strict_inequality():
 
 def test_listing11_saturates_at_max():
     table = catalog.OPTIPLEX_755.table()
+    assert laws.compute_new_frequency(table, 99.9) == 2667
     assert laws.compute_new_frequency(table, 150.0) == 2667
 
 
 def test_listing11_margin():
     table = catalog.OPTIPLEX_755.table()
+    # 58% + 5 margin = 63% > 60% capacity of 1600 -> next state.
     assert laws.compute_new_frequency(table, 58.0, margin_percent=5.0) == 1867
+    assert laws.compute_new_frequency(table, 58.0) == 1600
 
 
 def test_listing11_cf_blind_mode():
     table = FrequencyTable([PState(1000, cf=0.5), PState(2000)])
-    # With cf: capacity(1000) = 25% -> cannot absorb 30%.
+    # With cf: capacity(1000) = 0.5 * 0.5 = 25% -> absorbs 20%, not 30%.
+    assert laws.compute_new_frequency(table, 20.0) == 1000
     assert laws.compute_new_frequency(table, 30.0, use_cf=True) == 2000
     # Blind: believes capacity is 50% -> wrongly picks 1000.
     assert laws.compute_new_frequency(table, 30.0, use_cf=False) == 1000

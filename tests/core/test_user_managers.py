@@ -128,3 +128,17 @@ def test_managers_apply_dom0_policy_flag():
     host.cpufreq.set_speed(1600)
     host.run(until=2.0)
     assert host.scheduler.cap_of(dom0) == pytest.approx(10.0)
+
+
+def test_user_full_manager_leaves_dom0_cap_when_disabled():
+    host = make_host(scheduler="credit", governor="userspace")
+    dom0 = host.create_domain("Dom0", credit=10, dom0=True)
+    vm = host.create_domain("vm", credit=20)
+    vm.attach_workload(ConstantLoad(100, injection_period=0.01))
+    manager = UserFullManager(host, reaction_latency_s=0.0, update_dom0=False)
+    host.start()
+    manager.start()
+    host.run(until=20.0)
+    assert host.processor.frequency_mhz == 1600
+    assert host.scheduler.cap_of(vm) == pytest.approx(20.0 / (1600 / 2667), abs=0.1)
+    assert host.scheduler.cap_of(dom0) == 10.0

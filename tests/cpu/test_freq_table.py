@@ -3,6 +3,7 @@
 import pytest
 
 from repro import FrequencyTable, PState
+from repro.core import laws
 from repro.errors import ConfigurationError, FrequencyError
 
 
@@ -87,31 +88,34 @@ def test_capacity_fraction(table):
     assert table.capacity_fraction(2667) == pytest.approx(1.0)
 
 
+# Listing 1.1 on this table.  The rule lives once, in
+# ``laws.compute_new_frequency``; these cases pin it on the shuffled-input
+# table above.
+
+
 def test_lowest_absorbing_picks_first_sufficient(table):
     # Listing 1.1: capacity must STRICTLY exceed the load.
-    state = table.lowest_absorbing(50.0)
-    assert state.freq_mhz == 1600  # 1600/2667 = 60% > 50%
+    assert laws.compute_new_frequency(table, 50.0) == 1600  # 60% > 50%
 
 
 def test_lowest_absorbing_strict_inequality(table):
     capacity_1600 = 1600 / 2667 * 100
-    state = table.lowest_absorbing(capacity_1600)
-    assert state.freq_mhz == 1867
+    assert laws.compute_new_frequency(table, capacity_1600) == 1867
 
 
 def test_lowest_absorbing_with_margin(table):
     # 58% + 5 margin = 63% > 60% capacity of 1600 -> next state.
-    assert table.lowest_absorbing(58.0, margin_percent=5.0).freq_mhz == 1867
-    assert table.lowest_absorbing(58.0).freq_mhz == 1600
+    assert laws.compute_new_frequency(table, 58.0, margin_percent=5.0) == 1867
+    assert laws.compute_new_frequency(table, 58.0) == 1600
 
 
 def test_lowest_absorbing_saturates_at_max(table):
-    assert table.lowest_absorbing(99.9).freq_mhz == 2667
-    assert table.lowest_absorbing(150.0).freq_mhz == 2667
+    assert laws.compute_new_frequency(table, 99.9) == 2667
+    assert laws.compute_new_frequency(table, 150.0) == 2667
 
 
 def test_lowest_absorbing_respects_cf():
     table = FrequencyTable([PState(1000, cf=0.5), PState(2000)])
     # capacity of 1000 = 0.5 * 0.5 = 25%.
-    assert table.lowest_absorbing(20.0).freq_mhz == 1000
-    assert table.lowest_absorbing(30.0).freq_mhz == 2000
+    assert laws.compute_new_frequency(table, 20.0) == 1000
+    assert laws.compute_new_frequency(table, 30.0) == 2000

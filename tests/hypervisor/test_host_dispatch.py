@@ -165,11 +165,3 @@ def test_string_and_instance_construction():
     host2 = Host(scheduler="sedf", governor="stable")
     assert host2.scheduler.name == "sedf"
     assert host2.governor.name == "stable"
-
-
-def test_absolute_load_scale_property():
-    host = make_host(governor="userspace")
-    host.create_domain("vm", credit=10)
-    host.start()
-    host.cpufreq.set_speed(1600)
-    assert host.absolute_load_scale == pytest.approx(1600 / 2667)

@@ -156,6 +156,42 @@ def _bench_paper_scenario() -> dict:
     }
 
 
+#: Simulated seconds of the ``host-dispatch`` bench (26,667 decisions).
+HOST_DISPATCH_SIM_S = 200.0
+
+
+def _bench_host_dispatch() -> dict:
+    """Cost per scheduling decision on a scripted three-domain credit host.
+
+    Three capped, always-busy guests (20/30/40 % credit) keep the credit
+    scheduler parking, idling, re-accounting and switching for a fixed
+    simulated span, so the run makes a fixed number of
+    :meth:`~repro.hypervisor.host.Host._switch` calls and little else.
+    ``us_per_switch`` is the run's wall time per decision (engine pops and
+    ticks included): the dispatch cost gated on its own, not only through
+    ``paper-5.3``.
+    """
+    from repro import Host
+    from repro.obs import MetricsRegistry, collect_host
+    from repro.workloads import PiApp
+
+    host = Host(scheduler="credit", governor="performance")
+    for name, credit in (("g20", 20.0), ("g30", 30.0), ("g40", 40.0)):
+        host.create_domain(name, credit).attach_workload(PiApp(HOST_DISPATCH_SIM_S))
+    host.start()
+    started = time.perf_counter()
+    host.run(until=HOST_DISPATCH_SIM_S)
+    elapsed = time.perf_counter() - started
+    registry = MetricsRegistry()
+    collect_host(registry, host)
+    switches = host.scheduler.stats.decisions
+    return {
+        "switches": switches,
+        "us_per_switch": elapsed / switches * 1e6,
+        "counters": registry.snapshot(),
+    }
+
+
 def _bench_stress_fleet_cold() -> dict:
     """Cold serial stress-fleet sweep — the ROADMAP's perf benchmark."""
     from repro.experiments import preset_grid
@@ -304,6 +340,7 @@ NATIVE_BENCHES: dict[str, Callable[[], dict]] = {
     "calibration": _bench_calibration,
     "engine-events": _bench_engine_events,
     "paper-5.3": _bench_paper_scenario,
+    "host-dispatch": _bench_host_dispatch,
     "stress-fleet-cold": _bench_stress_fleet_cold,
     "tracing-off": _bench_tracing_off,
     "store-warm": _bench_store_warm,
@@ -436,6 +473,15 @@ def parse_regress(text: str) -> float:
 GRACE_SECONDS = 0.05
 
 
+#: The deterministic counter whose change ``compare_reports`` flags.
+PHYSICS_COUNTER = "host.energy_joules"
+
+
+def _energy_counter(entry: dict) -> float | None:
+    """A bench entry's :data:`PHYSICS_COUNTER` (None when it reports none)."""
+    return entry.get("metrics", {}).get("counters", {}).get(PHYSICS_COUNTER)
+
+
 def compare_reports(
     current: dict,
     baseline: dict,
@@ -449,10 +495,14 @@ def compare_reports(
     every shared bench, plus an informational ``UNGATED`` line for each
     current bench the baseline lacks, and the names of benches that
     regressed beyond *max_regress* (or failed / went missing outright).
-    Ungated benches never count as regressions.  When both reports
-    carry the ``calibration`` bench and *normalize* is on, baseline wall
-    times are scaled by the machines' calibration ratio first.  Every
-    limit gets :data:`GRACE_SECONDS` of absolute slack so
+    Ungated benches never count as regressions.  A bench whose
+    deterministic energy counter (``counters["host.energy_joules"]``)
+    differs from the baseline's gets an informational ``PHYSICS CHANGED``
+    line, so a change to what the simulator computes cannot pass as a
+    pure speed change; like ``UNGATED``, it is not a regression.  When
+    both reports carry the ``calibration`` bench and *normalize* is on,
+    baseline wall times are scaled by the machines' calibration ratio
+    first.  Every limit gets :data:`GRACE_SECONDS` of absolute slack so
     millisecond-scale benches are not gated on timer noise.
     """
     scale = 1.0
@@ -495,6 +545,12 @@ def compare_reports(
             f"{name}: {cur['wall_s']:.3f}s vs baseline {base['wall_s']:.3f}s "
             f"(x{ratio:.2f}) {verdict}"
         )
+        base_energy = _energy_counter(base)
+        cur_energy = _energy_counter(cur)
+        if base_energy is not None and cur_energy is not None and cur_energy != base_energy:
+            lines.append(
+                f"PHYSICS CHANGED {name}: {PHYSICS_COUNTER} {base_energy!r} -> {cur_energy!r}"
+            )
     for name in sorted(cur_benches.keys() - base_benches.keys() - {"calibration"}):
         lines.append(f"{name}: UNGATED (not in baseline)")
     return lines, regressed

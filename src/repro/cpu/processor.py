@@ -218,7 +218,14 @@ class Processor:
         self._elapsed_seconds += dt
         self._busy_seconds += dt * busy_fraction
         self._time_in_state[self._state.freq_mhz] += dt
-        energy = self.energy_for(dt, busy_fraction)
+        # energy_for's cached busy/idle paths, inlined: the host bills one
+        # of the two at every scheduling decision.
+        if busy_fraction == 1.0:
+            energy = self._power_busy * dt
+        elif busy_fraction == 0.0:
+            energy = self._power_idle * dt
+        else:
+            energy = self.energy_for(dt, busy_fraction)
         self._energy_joules += energy
         return energy
 

@@ -4,8 +4,14 @@ A :class:`Host` wires together the engine, one processor, the cpufreq
 subsystem with its governor, one VM scheduler, the domains and telemetry —
 the same composition as a Xen box (§2).  It runs a slice-based dispatch loop:
 
-* the scheduler picks a vCPU; the host runs it for
-  ``min(policy slice, time to drain its demand)`` wall seconds;
+* every scheduling decision goes through one method, :meth:`Host._switch`:
+  natural slice ends, tick redispatches, wake and DVFS preemptions and
+  :meth:`Host.kick` all call it.  It bills the ending slice (or idle gap),
+  asks the scheduler one question —
+  :meth:`~repro.schedulers.base.Scheduler.switch`, which charges and
+  requeues the outgoing vCPU and names the next one with its slice — and
+  arms that slice, for ``min(policy slice, time to drain its demand)``
+  wall seconds;
 * wall time converts to work at the processor's current ``ratio * cf`` —
   the paper's Eq. 1/2 is the substrate's definition of DVFS;
 * P-state changes, wake-time preemptions and scheduler ticks all end the
@@ -35,7 +41,7 @@ from ..sim import Engine, EventHandle, RngStreams
 from ..telemetry import Recorder
 from .domain import DOM0_CLASS, Domain, DomainConfig, GUEST_CLASS
 from .load_monitor import LoadMonitor
-from .vcpu import VCpu, WORK_EPSILON
+from .vcpu import VCpu, VCpuState, WORK_EPSILON
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..schedulers.base import Scheduler
@@ -200,43 +206,39 @@ class Host:
 
     def on_vcpu_wake(self, vcpu: VCpu) -> None:
         """A blocked vCPU acquired demand (called by its domain)."""
-        self.scheduler.wake(vcpu)
-        if self._current is None:
-            self._begin_dispatch()
-        elif self.scheduler.should_preempt(self._current, vcpu):
+        scheduler = self.scheduler
+        scheduler.wake(vcpu)
+        current = self._current
+        if current is None:
+            self._switch(self.engine._now)
+        elif scheduler.should_preempt(current, vcpu):
+            now = self.engine._now
             self._preemptions += 1
             trace = _obs.TRACER
             if trace is not None:
-                trace.sched_preempt(self.engine.now, self._current.name, "wake")
-            self._end_current_slice()
-            self._begin_dispatch()
+                trace.sched_preempt(now, current.name, "wake")
+            self._switch(now)
 
     def _on_scheduler_tick(self) -> None:
         # The scheduler bills the books itself when its bookkeeping needs
         # them (a credit accounting pass, an SEDF period rollover), then
-        # names the next tick that has work to do.  Releasing the fired handle first lets the
-        # engine re-stamp the same object for it.
+        # names the next tick that has work to do.
         engine = self.engine
         now = engine._now
         scheduler = self.scheduler
         redispatch = scheduler.tick(now)
         event = self._tick_event
-        engine.release(event)
-        self._tick_event = engine.schedule_at(
-            scheduler.next_tick(now), self._on_scheduler_tick, label=event.label
-        )
+        engine.rearm(event, scheduler.next_tick(now), self._on_scheduler_tick, event.label)
         if redispatch:
             current = self._current
-            if current is not None:
-                # A tick that lands on the slice's own end instant finds
-                # nothing left to cut short: that is no preemption.
-                if self._slice_end_event.time > now:
-                    self._preemptions += 1
-                    trace = _obs.TRACER
-                    if trace is not None:
-                        trace.sched_preempt(now, current.name, "tick")
-                self._end_current_slice()
-            self._begin_dispatch()
+            # A tick that lands on the slice's own end instant finds
+            # nothing left to cut short: that is no preemption.
+            if current is not None and self._slice_end_event.time > now:
+                self._preemptions += 1
+                trace = _obs.TRACER
+                if trace is not None:
+                    trace.sched_preempt(now, current.name, "tick")
+            self._switch(now)
 
     def _before_frequency_change(self, freq_mhz: int) -> None:
         # Bill the in-flight slice prefix (or idle gap) while the outgoing
@@ -252,35 +254,86 @@ class Host:
         # A change that lands on the same effective capacity (two states with
         # equal ratio * cf) leaves the in-flight slice's accounting valid, so
         # it is not a preemption.
-        if self._current is not None and self.processor.capacity_fraction != self._slice_capacity:
+        current = self._current
+        if current is not None and self.processor.capacity_fraction != self._slice_capacity:
+            now = self.engine._now
             self._preemptions += 1
             trace = _obs.TRACER
             if trace is not None:
-                trace.sched_preempt(self.engine.now, self._current.name, "dvfs")
-            self._end_current_slice()
-            self._begin_dispatch()
+                trace.sched_preempt(now, current.name, "dvfs")
+            self._switch(now)
 
     # ---------------------------------------------------- dispatch machinery
 
-    def _begin_dispatch(self) -> None:
-        if self._current is not None:
-            raise SchedulerError("dispatch while a vCPU is running")
-        engine = self.engine
-        now = engine.now
-        idle_from = self._idle_from
-        if idle_from is not None:
-            gap = now - idle_from
+    def _on_slice_end(self) -> None:
+        self._switch(self.engine._now)
+
+    def _switch(self, now: float) -> None:
+        """One scheduling decision at *now*: the host's only dispatch path.
+
+        Bills the ending slice (or the idle gap), asks the scheduler one
+        question — :meth:`~repro.schedulers.base.Scheduler.switch` charges
+        and requeues the outgoing vCPU and names the next one with its
+        slice — and arms that slice.  Natural slice ends, tick
+        redispatches, wake and DVFS preemptions and :meth:`kick` all come
+        here.
+        """
+        prev = self._current
+        elapsed = 0.0
+        runnable = False
+        spare = None
+        if prev is None:
+            gap = now - self._idle_from
             if gap > 0:
                 self._idle_energy += self.processor.account(gap, 0.0)
             self._idle_from = None
-        vcpu = self.scheduler.pick_next(now)
+        else:
+            event = self._slice_end_event
+            self._slice_end_event = None
+            if event.callback is None:
+                # Natural slice end: the engine popped and fired this handle
+                # and only we still reference it, so the next slice re-arms
+                # it — the hottest allocation in a run otherwise.
+                spare = event
+            else:
+                # Preempted: the handle is still in the heap, so it can only
+                # be tombstoned — the pop loop discards it.
+                event._cancelled = True
+            self._current = None
+            elapsed = now - self._slice_start
+            if elapsed > 0:
+                trace = _obs.TRACER
+                if trace is not None:
+                    trace.sched_slice(prev.name, self._slice_start, elapsed)
+                # VCpu.consume, inlined (elapsed and capacity are positive).
+                work = elapsed * self._slice_capacity
+                pending = prev._pending_work - work
+                prev._pending_work = pending if pending >= WORK_EPSILON else 0.0
+                prev._work_done += work
+                prev._cpu_seconds += elapsed
+                energy = self.processor.account(elapsed, 1.0)
+                name = prev.name
+                domain_energy = self._domain_energy
+                domain_energy[name] = domain_energy.get(name, 0.0) + energy
+            # VCpu.mark_runnable / mark_blocked, inlined.
+            if prev._pending_work > WORK_EPSILON:
+                prev._state = VCpuState.RUNNABLE
+                prev.runnable = runnable = True
+            else:
+                prev._state = VCpuState.BLOCKED
+                prev.runnable = False
+                prev._domain.notify_idle(now)
+        decision = self.scheduler.switch(prev, elapsed, runnable, now)
         trace = _obs.TRACER
-        if vcpu is None:
+        engine = self.engine
+        if decision is None:
             if trace is not None:
                 trace.sched_pick(now, None, 0.0)
             self._idle_from = now
+            if spare is not None:
+                engine.release(spare)
             return
-        slice_len = self.scheduler.slice_for(vcpu, now)
+        vcpu, slice_len = decision
         if slice_len <= 0:
             raise SchedulerError(
                 f"scheduler {self.scheduler.name!r} returned a non-positive slice "
@@ -291,58 +344,19 @@ class Host:
         run_for = drain if drain < slice_len else slice_len
         if trace is not None:
             trace.sched_pick(now, vcpu.name, run_for)
-        vcpu.mark_running()
+        # VCpu.mark_running, inlined.
+        if vcpu._state is VCpuState.BLOCKED:
+            raise SchedulerError(f"cannot dispatch blocked vCPU {vcpu.name!r}")
+        vcpu._state = VCpuState.RUNNING
+        vcpu._dispatch_count += 1
         self._current = vcpu
         self._slice_start = now
         self._slice_capacity = capacity
-        self._slice_end_event = engine.schedule(
-            run_for, self._on_slice_end, label=self._slice_labels[vcpu.name]
-        )
-
-    def _on_slice_end(self) -> None:
-        self._end_current_slice()
-        self._begin_dispatch()
-
-    def _end_current_slice(self) -> None:
-        vcpu = self._current
-        if vcpu is None:
-            raise SchedulerError("ending a slice while idle")
-        now = self.engine.now
-        event = self._slice_end_event
-        if event is not None:
-            self._slice_end_event = None
-            if event.callback is None:
-                # Natural slice end: the engine popped and fired this handle
-                # and only we still reference it — pool it for the next
-                # slice.  One dispatch per slice makes this the hottest
-                # allocation in a run after the timer handles PR 5 already
-                # recycles.
-                self.engine.release(event)
-            else:
-                # Preempted: the handle is still in the heap, so it can only
-                # be tombstoned — the pop loop discards it.
-                event._cancelled = True
-        self._current = None
-        elapsed = now - self._slice_start
-        scheduler = self.scheduler
-        if elapsed > 0:
-            trace = _obs.TRACER
-            if trace is not None:
-                trace.sched_slice(vcpu.name, self._slice_start, elapsed)
-            work = elapsed * self._slice_capacity
-            vcpu.consume(work, elapsed)
-            energy = self.processor.account(elapsed, 1.0)
-            name = vcpu.name
-            domain_energy = self._domain_energy
-            domain_energy[name] = domain_energy.get(name, 0.0) + energy
-            scheduler.charge(vcpu, elapsed, now)
-        if vcpu._pending_work > WORK_EPSILON:
-            vcpu.mark_runnable()
-            scheduler.put_back(vcpu)
+        label = self._slice_labels[vcpu.name]
+        if spare is None:
+            self._slice_end_event = engine.schedule(run_for, self._on_slice_end, label=label)
         else:
-            vcpu.mark_blocked()
-            scheduler.sleep(vcpu)
-            vcpu.domain.notify_idle(now)
+            self._slice_end_event = engine.rearm(spare, now + run_for, self._on_slice_end, label)
 
     def kick(self) -> None:
         """Re-evaluate scheduling if the processor is idle.
@@ -353,7 +367,7 @@ class Host:
         next tick rebalances.
         """
         if self._current is None and self._started:
-            self._begin_dispatch()
+            self._switch(self.engine._now)
 
     # ------------------------------------------------------------ accounting
 

@@ -9,7 +9,9 @@ distinction the paper draws between active and lazy VMs.
 The class is slotted and keeps its hot fields (state, pending work, the
 owning domain's name) as plain attributes: the dispatch loop touches every
 one of them on every slice boundary, so property indirection here is pure
-overhead.  The public read API is unchanged.
+overhead.  :meth:`~repro.hypervisor.host.Host._switch` writes them inline
+(the bodies of :meth:`VCpu.consume` and the ``mark_*`` transitions) for the
+same reason.  The public read API is unchanged.
 """
 
 from __future__ import annotations

@@ -89,27 +89,20 @@ class PhaseProfiler:
     def attach_host(self, host: "Host") -> None:
         """Instrument a started :class:`~repro.hypervisor.host.Host`.
 
-        Phases: ``scheduler`` (every scheduler entry point), ``governor``
-        (policy decisions), ``cpufreq`` (sampling + P-state application),
-        ``accounting`` (billing the open interval), ``dispatch`` (the
-        host's slice machinery), ``telemetry`` (load-monitor sampling),
-        ``workload`` (demand generation timers).  Call after
+        Phases: ``scheduler`` (every scheduler entry point the host calls:
+        :meth:`~repro.schedulers.base.Scheduler.switch`, one per scheduling
+        decision, plus ``charge``, ``wake``, ``tick``, ``should_preempt``
+        and ``set_cap``), ``governor`` (policy decisions), ``cpufreq``
+        (sampling + P-state application), ``accounting`` (billing the open
+        interval), ``dispatch`` (:meth:`~repro.hypervisor.host.Host._switch`,
+        the host's one dispatch path), ``telemetry`` (load-monitor
+        sampling), ``workload`` (demand generation timers).  Call after
         ``host.start()`` so the workload timers exist; the engine looks
         timer callbacks and bound methods up at fire time, so rebinding
         here takes effect for the whole subsequent run.
         """
         scheduler = host.scheduler
-        for name in (
-            "pick_next",
-            "slice_for",
-            "charge",
-            "wake",
-            "sleep",
-            "put_back",
-            "tick",
-            "should_preempt",
-            "set_cap",
-        ):
+        for name in ("switch", "charge", "wake", "tick", "should_preempt", "set_cap"):
             setattr(scheduler, name, self.wrap_phase("scheduler", getattr(scheduler, name)))
         governor = host.cpufreq.governor
         if governor is not None:
@@ -118,8 +111,7 @@ class PhaseProfiler:
         cpufreq.set_speed = self.wrap_phase("cpufreq", cpufreq.set_speed)
         self._wrap_timer(cpufreq._timer, "cpufreq")
         host.sync_accounting = self.wrap_phase("accounting", host.sync_accounting)
-        host._begin_dispatch = self.wrap_phase("dispatch", host._begin_dispatch)
-        host._end_current_slice = self.wrap_phase("dispatch", host._end_current_slice)
+        host._switch = self.wrap_phase("dispatch", host._switch)
         self._wrap_timer(host._monitor._timer, "telemetry")
         for domain in host.domains:
             for workload in domain.workloads:

@@ -173,7 +173,7 @@ class Tracer:
         self.instant("engine", label or "event", time_s, "engine")
 
     def sched_pick(self, time_s: float, picked: str | None, slice_s: float) -> None:
-        """A ``pick_next`` decision: *picked* is the vCPU name or None (idle)."""
+        """A scheduling decision: *picked* is the vCPU name or None (idle)."""
         if picked is None:
             self.instant("sched", "idle", time_s, "sched.decisions")
         else:

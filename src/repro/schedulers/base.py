@@ -10,6 +10,11 @@ time is charged.  The contract:
 * :meth:`slice_for` bounds the slice so a policy budget is never overshot;
 * :meth:`charge` accounts wall-time actually consumed (the host may end a
   slice early on blocking or P-state changes);
+* :meth:`switch` is the one question the host asks per scheduling
+  decision: charge the outgoing vCPU, requeue or sleep it, pick the next
+  and bound its slice.  The default composes the four hooks above; a
+  scheduler may override it with one fused body, which must match that
+  composition bit for bit;
 * :meth:`tick` fires on the :attr:`tick_period` grid and returns True when
   its bookkeeping may have changed who should run, so the host re-dispatches;
   :meth:`next_tick` names the next grid instant whose tick has work to do,
@@ -112,6 +117,31 @@ class Scheduler(ABC):
     @abstractmethod
     def charge(self, vcpu: "VCpu", wall_dt: float, now: float) -> None:
         """Account *wall_dt* seconds actually consumed by *vcpu*."""
+
+    def switch(
+        self, prev: "VCpu | None", elapsed: float, runnable: bool, now: float
+    ) -> "tuple[VCpu, float] | None":
+        """One scheduling decision at *now*: ``(next vCPU, slice)`` or None to idle.
+
+        *prev* is the vCPU whose slice just ended (None when the processor
+        was idle), *elapsed* the wall seconds it ran and *runnable* whether
+        it still has demand; the host has already billed the slice and
+        marked *prev*'s state.  The reference semantics, which overrides
+        must reproduce exactly: :meth:`charge` (when *elapsed* > 0), then
+        :meth:`put_back` or :meth:`sleep`, then :meth:`pick_next` and
+        :meth:`slice_for`.
+        """
+        if prev is not None:
+            if elapsed > 0:
+                self.charge(prev, elapsed, now)
+            if runnable:
+                self.put_back(prev)
+            else:
+                self.sleep(prev)
+        vcpu = self.pick_next(now)
+        if vcpu is None:
+            return None
+        return vcpu, self.slice_for(vcpu, now)
 
     def put_back(self, vcpu: "VCpu") -> None:
         """The slice ended and *vcpu* is still runnable; requeue it.

@@ -64,9 +64,11 @@ class _Account:
         """Remaining CPU seconds allowed in the current accounting period.
 
         Canonical definition of the cap rule.  ``pick_next`` / ``slice_for``
-        / ``charge`` inline this exact expression (uncapped test included)
-        to stay call-free on the dispatch hot path — change it here and in
-        those three copies together.
+        / ``charge`` and the fused ``switch`` inline this exact expression
+        (uncapped test included) to stay call-free on the dispatch hot path
+        — change it here and in those copies together.  The scheduler
+        contract test runs ``switch`` against the composition of the other
+        three, so a copy that drifts fails it.
         """
         if self.cap <= 0.0:
             return float("inf")
@@ -235,6 +237,85 @@ class CreditScheduler(Scheduler):
         stats.charged_seconds += wall_dt
         by_domain = stats.charged_by_domain
         by_domain[name] = by_domain.get(name, 0.0) + wall_dt
+
+    def switch(
+        self, prev: "VCpu | None", elapsed: float, runnable: bool, now: float
+    ) -> "tuple[VCpu, float] | None":
+        # The base composition (charge -> put_back/sleep -> pick_next ->
+        # slice_for) fused into one call-free body: one scheduling decision
+        # is the floor under every host-tier run.  Bit-identical to that
+        # composition by construction; tests/schedulers/test_switch_contract.py
+        # holds it there.
+        stats = self.stats
+        period = self.accounting_period
+        if prev is not None:
+            name = prev.name
+            account = self._accounts.get(name)
+            if account is None:
+                account = self._account_of(prev)
+            if elapsed > 0:
+                account.credit_s -= elapsed
+                account.usage_in_period += elapsed
+                # Inline of _Account.cap_budget (keep in sync with it).
+                cap = account.cap
+                if cap > 0.0 and cap / 100.0 * period - account.usage_in_period <= MIN_BUDGET:
+                    if not account.parked:
+                        trace = _obs.TRACER
+                        if trace is not None:
+                            trace.credit_event(now, "park", name)
+                    account.parked = True
+                stats.charged_seconds += elapsed
+                by_domain = stats.charged_by_domain
+                by_domain[name] = by_domain.get(name, 0.0) + elapsed
+            if runnable:
+                if not account.queued:
+                    self._queues[account.priority_class].append(account)
+                    account.queued = True
+            elif account.queued:
+                self._queues[account.priority_class].remove(account)
+                account.queued = False
+        stats.decisions += 1
+        for queue in self._queue_scan:
+            if not queue:
+                continue
+            # The pick_next scan, verbatim.
+            under = None
+            fallback = None
+            stale = None
+            for account in queue:
+                if not account.vcpu.runnable:
+                    if stale is None:
+                        stale = [account]
+                    else:
+                        stale.append(account)
+                    continue
+                if under is None and not account.parked:
+                    # Inline of _Account.cap_budget (keep in sync with it).
+                    cap = account.cap
+                    if cap <= 0.0 or cap / 100.0 * period - account.usage_in_period > MIN_BUDGET:
+                        if account.credit_s > 0.0:
+                            under = account
+                        elif fallback is None:
+                            fallback = account
+            if stale is not None:
+                for account in stale:
+                    queue.remove(account)
+                    account.queued = False
+            chosen = under if under is not None else fallback
+            if chosen is None:
+                continue
+            queue.remove(chosen)
+            chosen.queued = False
+            # slice_for, inlined.
+            quantum = self.quantum
+            cap = chosen.cap
+            if cap <= 0.0:
+                return chosen.vcpu, quantum
+            # Inline of _Account.cap_budget (keep in sync with it).
+            budget = cap / 100.0 * period - chosen.usage_in_period
+            return chosen.vcpu, budget if budget < quantum else quantum
+        stats.idle_picks += 1
+        return None
 
     def should_preempt(self, current: "VCpu", waking: "VCpu") -> bool:
         current_account = self._account_of(current)

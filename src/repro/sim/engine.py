@@ -145,6 +145,40 @@ class Engine:
             self._heap_peak = len(heap)
         return handle
 
+    def rearm(
+        self, handle: EventHandle, time: float, callback: Callable[[], None], label: str
+    ) -> EventHandle:
+        """Re-stamp a fired *handle* to fire *callback* at absolute *time*.
+
+        :meth:`release` followed by :meth:`schedule_at` in one call, for
+        owners of one recurring event (the host's slice end and scheduler
+        tick): the same caller contract as :meth:`release` — the engine has
+        fired the handle and the caller holds the only reference — and the
+        same sequence numbering, heap peak and reuse count as the round
+        trip through the free list.
+        """
+        if handle.callback is not None:
+            raise SimulationError(
+                f"cannot re-arm pending event {handle.label!r}: it is still in the heap"
+            )
+        if time < self._now:
+            raise SimulationError(
+                f"cannot schedule {label or callback!r} at t={time:.9f}, now is t={self._now:.9f}"
+            )
+        sequence = self._sequence
+        self._sequence = sequence + 1
+        handle.time = time
+        handle.sequence = sequence
+        handle.callback = callback
+        handle.label = label
+        handle._cancelled = False
+        self._free_reuse += 1
+        heap = self._heap
+        heapq.heappush(heap, (time, sequence, handle))
+        if len(heap) > self._heap_peak:
+            self._heap_peak = len(heap)
+        return handle
+
     def release(self, handle: EventHandle) -> None:
         """Return a fired handle to the allocation free list.
 

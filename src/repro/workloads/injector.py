@@ -37,6 +37,12 @@ class HttperfInjector:
         fluid count (uses the stream *rng*).
     rng:
         ``random.Random`` for Poisson mode.
+    on_fire:
+        ``on_fire(now)`` called at every fire, retiring fire included,
+        before the batch reaches *sink*; :attr:`retired` already holds
+        this fire's verdict.  Observers that would otherwise run their own
+        timer on the injection grid ride here instead (the Web-app's
+        latency poll).
     """
 
     def __init__(
@@ -48,10 +54,12 @@ class HttperfInjector:
         injection_period: float = 0.05,
         poisson: bool = False,
         rng=None,
+        on_fire: Callable[[float], None] | None = None,
     ) -> None:
         self._engine = engine
         self._profile = profile
         self._sink = sink
+        self._on_fire = on_fire
         self.injection_period = check_positive(injection_period, "injection_period")
         self._poisson = poisson
         self._rng = rng
@@ -105,11 +113,14 @@ class HttperfInjector:
             cursor += 1
         self._phase_cursor = cursor
         rate = self._phase_rates[cursor] if now >= starts[cursor] else 0.0
+        if rate <= 0.0 and now >= self._retire_at:
+            self._retired = True
+            self._timer.stop()
+        on_fire = self._on_fire
+        if on_fire is not None:
+            on_fire(now)
         if rate <= 0.0:
             self._carry = 0.0
-            if now >= self._retire_at:
-                self._retired = True
-                self._timer.stop()
             return
         expected = rate * self.injection_period
         if self._poisson:

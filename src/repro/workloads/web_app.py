@@ -90,6 +90,8 @@ class WebApp(Workload):
         self.latency = LatencyTracker() if track_latency else None
         self._injector: HttperfInjector | None = None
         self._progress_timer: PeriodicTimer | None = None
+        #: True from the first accepted batch on: the injector's fires poll.
+        self._polling = False
         self._last_work_done = 0.0
         self._vcpu = None
         self._read_work_done = None
@@ -108,6 +110,7 @@ class WebApp(Workload):
             injection_period=self.injection_period,
             poisson=self.poisson,
             rng=rng,
+            on_fire=self._on_fire if self.track_latency else None,
         )
         self._injector.start()
         # Hot-path caches: every batch and every poll walks domain -> host /
@@ -115,11 +118,13 @@ class WebApp(Workload):
         self._vcpu = self.domain.vcpu
         self._read_work_done = self.domain.host.work_done
         if self.track_latency:
-            # Progress polling runs on its own timer so responses completed
-            # after the last arrival (backlog drain) are still recorded.  It
-            # polls only while work is in flight: the first accepted batch
-            # arms it, on the injector's grid, and it stops once the
-            # injector has retired and every request has completed.
+            # Progress is polled on the injector's grid from the first
+            # accepted batch on, so responses completed after the last
+            # arrival (backlog drain) are still recorded.  While the
+            # injector runs, its own fire polls; this timer takes over only
+            # at the injector's retirement, from the grid instant the
+            # injector would have hit next, and stops once every request
+            # has completed.
             self._progress_timer = PeriodicTimer(
                 self.engine,
                 self.injection_period,
@@ -160,6 +165,13 @@ class WebApp(Workload):
 
     # ------------------------------------------------------------ internals
 
+    def _on_fire(self, now: float) -> None:
+        # Every injector fire once polling began, before its batch lands.
+        if self._polling:
+            self._poll_progress(now)
+            if self._injector.retired and not self.latency.drained:
+                self._progress_timer.start()
+
     def _on_batch(self, n_requests: float, now: float) -> None:
         offered = n_requests * self.request_cost
         self.offered_work += offered
@@ -169,18 +181,16 @@ class WebApp(Workload):
         self.accepted_work += accepted
         self.dropped_work += dropped
         if accepted > 0:
-            if self.latency is not None:
-                self._poll_progress(now)
-                self.latency.on_arrival(now, accepted, accepted / self.request_cost)
+            latency = self.latency
+            if latency is not None:
+                if not self._polling:
+                    self._polling = True
+                    self._poll_progress(now)
+                latency.on_arrival(now, accepted, accepted / self.request_cost)
             self.domain.add_work(accepted)
-            timer = self._progress_timer
-            if timer is not None and not timer.running:
-                timer.start()
 
     def _poll_progress(self, now: float) -> None:
         latency = self.latency
-        if latency is None:  # pragma: no cover - timer only runs if tracking
-            return
         done = self._read_work_done(self.domain.name)
         delta = done - self._last_work_done
         self._last_work_done = done

@@ -1,6 +1,7 @@
 """Unit tests for the unified benchmark harness and its regression gate."""
 
 import json
+import pathlib
 
 import pytest
 
@@ -111,6 +112,58 @@ def test_compare_reports_benches_missing_from_baseline_as_ungated():
     assert "new: UNGATED (not in baseline)" in lines
     assert not any("calibration" in line and "UNGATED" in line for line in lines)
     assert regressed == []
+
+
+def _with_energy(wall: float, joules: float) -> dict:
+    return {"ok": True, "wall_s": wall, "metrics": {"counters": {"host.energy_joules": joules}}}
+
+
+def test_compare_flags_physics_change_without_failing():
+    base = make_report({"host": _with_energy(1.0, 100.0), "plain": 1.0})
+    cur = make_report({"host": _with_energy(1.0, 100.5), "plain": 1.0})
+    lines, regressed = harness.compare_reports(cur, base, max_regress=0.1)
+    assert "PHYSICS CHANGED host: host.energy_joules 100.0 -> 100.5" in lines
+    assert regressed == []
+    same, _ = harness.compare_reports(base, base, max_regress=0.1)
+    assert not any("PHYSICS" in line for line in same)
+
+
+def test_cli_bench_compare_flags_doctored_baseline_energy(tmp_path, monkeypatch, capsys):
+    from benchmarks import harness as real_harness
+    from repro.cli import main
+
+    baseline = harness.load_report(pathlib.Path(harness.__file__).with_name("baseline.json"))
+    entry = baseline["benches"]["paper-5.3"]
+    joules = entry["metrics"]["counters"]["host.energy_joules"]
+    monkeypatch.setattr(
+        real_harness,
+        "NATIVE_BENCHES",
+        {"paper-5.3": lambda: {"counters": {"host.energy_joules": joules}}},
+    )
+    # Gate only paper-5.3, with room to spare on wall time; then nudge the
+    # copy's energy by one part in 10^12.
+    doctored = dict(baseline, benches={"paper-5.3": entry})
+    entry["wall_s"] = 1000.0
+    entry["metrics"]["counters"]["host.energy_joules"] = joules * (1 + 1e-12)
+    path = tmp_path / "baseline.json"
+    path.write_text(json.dumps(doctored))
+    argv = ["bench", "--bench", "paper-5.3", "--out", str(tmp_path / "out.json")]
+    assert main(argv + ["--compare", str(path)]) == 0
+    out = capsys.readouterr().out
+    expected = f"PHYSICS CHANGED paper-5.3: host.energy_joules {joules * (1 + 1e-12)!r} -> {joules!r}"
+    assert expected in out
+    assert "no regressions" in out
+    entry["metrics"]["counters"]["host.energy_joules"] = joules
+    path.write_text(json.dumps(doctored))
+    assert main(argv + ["--compare", str(path)]) == 0
+    assert "PHYSICS CHANGED" not in capsys.readouterr().out
+
+
+def test_host_dispatch_bench_reports_cost_per_switch():
+    metrics = harness.NATIVE_BENCHES["host-dispatch"]()
+    assert metrics["switches"] == metrics["counters"]["sched.decisions"] > 20_000
+    assert metrics["us_per_switch"] > 0.0
+    assert metrics["counters"]["host.energy_joules"] > 0.0
 
 
 def test_fleet_scaling_bench_records_points_and_exponent(monkeypatch):

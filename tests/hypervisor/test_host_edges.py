@@ -5,7 +5,6 @@ import pytest
 from repro import Host, catalog, VCpuState
 from repro.cpu.power import PowerModel
 from repro.cpu.processor import ProcessorSpec, make_states
-from repro.errors import SchedulerError
 from repro.workloads import ConstantLoad, PiApp
 
 from ..conftest import make_host
@@ -75,12 +74,17 @@ def test_sync_accounting_idempotent():
     assert host.cpu_seconds("vm") == first
 
 
-def test_end_slice_while_idle_raises():
+def test_switch_while_idle_bills_the_gap_and_stays_idle():
     host = make_host()
     host.create_domain("vm", credit=50)
     host.start()
-    with pytest.raises(SchedulerError):
-        host._end_current_slice()
+    host.engine.run_until(1.0)
+    stats = host.scheduler.stats
+    decisions, idle_picks = stats.decisions, stats.idle_picks
+    host._switch(host.now)
+    assert (stats.decisions, stats.idle_picks) == (decisions + 1, idle_picks + 1)
+    assert host.idle_energy_joules == host.energy_joules() == host.processor.energy_joules
+    assert host.processor.elapsed_seconds == 1.0
 
 
 def test_many_tiny_work_injections():

@@ -42,6 +42,22 @@ def test_profile_scenario_populates_subsystem_phases():
     assert profiler.calls["scheduler"] > 0
 
 
+def test_profiled_dispatch_phase_is_one_call_per_scheduling_decision():
+    # The dispatch phase is Host._switch, which makes exactly one
+    # scheduling decision per call.  A wrapper that misses the live entry
+    # point (a renamed method, a bound method cached before attach) reads
+    # as a near-empty phase here instead of silently moving into "other".
+    config = get_preset("paper-5.3").config.with_changes(
+        duration=60.0, v20_active=(5.0, 55.0), v70_active=(20.0, 40.0)
+    )
+    result, profiler = profile_scenario(config)
+    decisions = result.host.scheduler.stats.decisions
+    assert decisions > 1000
+    assert profiler.calls["dispatch"] == decisions
+    assert profiler.self_s["dispatch"] > 0.0
+    assert profiler.calls["scheduler"] > decisions
+
+
 def test_profile_scenario_result_matches_plain_run():
     config = ScenarioConfig().with_changes(duration=40.0)
     plain = run_scenario(config)

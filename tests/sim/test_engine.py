@@ -203,3 +203,25 @@ def test_deterministic_across_identical_runs():
         return order
 
     assert build() == build()
+
+
+def test_rearm_restamps_a_fired_handle(engine):
+    fired = []
+    handle = engine.schedule(1.0, lambda: fired.append("first"))
+    engine.run_until(1.0)
+    reuse = engine.free_list_reuse
+    again = engine.rearm(handle, 2.5, lambda: fired.append(engine.now), "again")
+    assert again is handle and handle.label == "again"
+    assert engine.free_list_reuse == reuse + 1
+    engine.run_until(3.0)
+    assert fired == ["first", 2.5]
+
+
+def test_rearm_refuses_a_pending_handle_or_a_past_time(engine):
+    pending = engine.schedule(1.0, lambda: None)
+    with pytest.raises(SimulationError):
+        engine.rearm(pending, 2.0, lambda: None, "x")
+    fired = engine.schedule(0.5, lambda: None)
+    engine.run_until(0.75)
+    with pytest.raises(SimulationError):
+        engine.rearm(fired, 0.5, lambda: None, "x")

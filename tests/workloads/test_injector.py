@@ -86,3 +86,30 @@ def test_stop_halts_injection():
     count = len(batches)
     engine.run_until(5.0)
     assert len(batches) == count
+
+
+def test_on_fire_runs_before_each_batch_and_sees_retirement():
+    engine = Engine()
+    seen = []
+    injector = None
+
+    def on_fire(now):
+        seen.append(("fire", now, injector.retired))
+
+    injector = HttperfInjector(
+        engine,
+        LoadProfile.three_phase(0.1, 0.2, 100.0),
+        lambda n, now: seen.append(("batch", now, injector.retired)),
+        injection_period=0.05,
+        on_fire=on_fire,
+    )
+    injector.start()
+    engine.run_until(1.0)
+    fires = [entry for entry in seen if entry[0] == "fire"]
+    # One call per fire, the retiring fire (t = 0.2) included, and none after.
+    assert [now for _, now, _ in fires] == pytest.approx([0.0, 0.05, 0.1, 0.15, 0.2])
+    assert [retired for _, _, retired in fires] == [False] * 4 + [True]
+    # Each batch follows its own fire's hook call.
+    for index, entry in enumerate(seen):
+        if entry[0] == "batch":
+            assert seen[index - 1] == ("fire", entry[1], False)

@@ -95,3 +95,20 @@ def test_drop_fraction_zero_when_no_offers():
     vm.attach_workload(app)
     host.run(until=10.0)
     assert app.drop_fraction == 0.0
+
+
+def test_latency_polls_ride_the_injector_until_it_retires():
+    host = make_host()
+    vm = host.create_domain("vm", credit=20)
+    app = WebApp(LoadProfile.three_phase(1.0, 5.0, thrashing_rate(20, 0.005)), max_backlog=0.5)
+    vm.attach_workload(app)
+    host.run(until=4.0)
+    # While the injector runs, its own fires poll: no timer event yet.
+    assert app.latency.completed_requests > 0
+    assert app._progress_timer.fire_count == 0
+    host.run(until=10.0)
+    # After retirement the timer drains the backlog's responses, then stops.
+    assert app._progress_timer.fire_count > 0
+    assert not app._progress_timer.running
+    assert app.latency.drained
+    assert app.latency.completed_requests == pytest.approx(app.accepted_work / 0.005)

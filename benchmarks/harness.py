@@ -440,7 +440,12 @@ def run_benches(
 
 
 def default_report_path(report: dict) -> pathlib.Path:
-    """``BENCH_<rev>.json`` in the current working directory."""
+    """``BENCH_<rev>.json`` in the current working directory.
+
+    That is a scratch copy: the root ``.gitignore`` skips ``/BENCH_*.json``.
+    A report kept as evidence is committed under ``benchmarks/``, written
+    with ``--out benchmarks/BENCH_<rev>.json``.
+    """
     return pathlib.Path(f"BENCH_{report['rev']}.json")
 
 

@@ -1348,7 +1348,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument("--list", action="store_true", help="list bench names and exit")
     bench.add_argument(
-        "--out", default=None, help="report path (default: ./BENCH_<rev>.json)"
+        "--out",
+        default=None,
+        help=(
+            "report path (default: ./BENCH_<rev>.json, a scratch copy the root "
+            ".gitignore skips); commit evidence with --out benchmarks/BENCH_<rev>.json"
+        ),
     )
     bench.add_argument(
         "--compare",

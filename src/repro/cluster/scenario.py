@@ -31,8 +31,8 @@ from ..cpu import catalog
 from ..cpu.processor import ProcessorSpec
 from ..errors import ConfigurationError
 from ..sim import RngStreams
-from ..workloads import SyntheticTrace, TraceLoad
-from ..workloads.dayshapes import dayshape_points, require_dayshape
+from ..workloads import SyntheticTrace
+from ..workloads.dayshapes import dayshape_trace, require_dayshape
 from .machine import MachineSpec
 from .migration import DEFAULT_MIGRATION, MigrationModel
 from .orchestrator import Orchestrator
@@ -285,15 +285,16 @@ def make_population(config: ClusterScenarioConfig) -> list[ClusterVM]:
         rng = streams.stream(f"vm{index}")
         if config.dayshapes:
             shape = config.dayshapes[index % len(config.dayshapes)]
-            points = dayshape_points(
+            trace = dayshape_trace(
                 shape,
                 rng,
                 day_length=config.day_length,
                 step=config.trace_step,
                 scale=config.dayshape_scale,
+                repeat=True,
             )
         else:
-            points = SyntheticTrace(
+            trace = SyntheticTrace(
                 base_percent=config.base_percent,
                 swing_percent=config.swing_percent,
                 noise_percent=config.noise_percent,
@@ -301,8 +302,7 @@ def make_population(config: ClusterScenarioConfig) -> list[ClusterVM]:
                 bursts=config.bursts,
                 day_length=config.day_length,
                 step=config.trace_step,
-            ).generate(rng)
-        trace = TraceLoad(points, repeat=True)
+            ).trace(rng, repeat=True)
         vms.append(
             ClusterVM(
                 f"vm{index:02d}",

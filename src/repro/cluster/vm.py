@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 from ..errors import ConfigurationError
@@ -50,20 +51,31 @@ class ClusterVM:
         self.memory_mb = int(check_positive(memory_mb, "memory_mb"))
         self.service_class = service_class
         self._demand = demand
+        # The last read (NaN equals no time): planning, serving and the
+        # migration blackout all ask at the epoch start.
+        self._read_time = math.nan
+        self._read_demand = 0.0
 
     def demand_at(self, time: float) -> float:
         """Demand in percent at *time*, clamped to [0, credit].
 
         The clamp encodes fix-credit semantics at fleet scale: a VM can ask
         for at most what it bought (the thrashing case is a single-host
-        scheduling problem, handled by :mod:`repro.core`).
+        scheduling problem, handled by :mod:`repro.core`).  The demand
+        callable is asked once per distinct *time* in a row: a repeat read
+        at the same instant returns the memoised value.
         """
+        if time == self._read_time:
+            return self._read_demand
         demand = self._demand(time)
         if demand < 0:
             raise ConfigurationError(
                 f"VM {self.name!r} returned negative demand {demand} at t={time}"
             )
-        return min(demand, self.credit)
+        demand = min(demand, self.credit)
+        self._read_time = time
+        self._read_demand = demand
+        return demand
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ClusterVM({self.name!r}, credit={self.credit}%, mem={self.memory_mb}MB)"

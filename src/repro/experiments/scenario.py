@@ -568,13 +568,13 @@ def _build_workload(spec: WorkloadSpec, guest: GuestSpec, config: ScenarioConfig
         elif spec.trace_file is not None:
             points = load_trace_csv(spec.trace_file)
         elif spec.dayshape is not None:
-            from ..workloads.dayshapes import dayshape_points
+            from ..workloads.dayshapes import dayshape_trace
 
             rng = host.rng.stream(f"trace.{guest.name}")
-            points = dayshape_points(spec.dayshape, rng)
+            return dayshape_trace(spec.dayshape, rng, repeat=spec.repeat)
         else:
             rng = host.rng.stream(f"trace.{guest.name}")
-            points = SyntheticTrace(**spec.diurnal).generate(rng)
+            return SyntheticTrace(**spec.diurnal).trace(rng, repeat=spec.repeat)
         return TraceLoad(points, repeat=spec.repeat)
     raise ConfigurationError(f"unknown workload kind {spec.kind!r}")  # pragma: no cover
 

@@ -23,13 +23,15 @@ so heterogeneous fleets are one config line instead of a page of
     A moderate base with frequent random bursts — the co-tenant nobody
     wants.
 
-Every shape yields :class:`~repro.workloads.trace.TracePoint` lists ending
-in a zero tail at ``day_length`` (so :class:`~repro.workloads.trace.
-TraceLoad` can repeat them as whole days), plugs into cluster populations
-(``ClusterScenarioConfig.dayshapes``) and single-host scenarios
-(``WorkloadSpec(kind="trace", dayshape=...)``), and can be materialised as
-a CSV (:func:`dayshape_csv`) for the ``trace_file`` path — the catalog sits
-*on top of* :func:`~repro.workloads.trace.load_trace_csv`, not beside it.
+Every shape yields one day as a :class:`~repro.workloads.trace.TraceLoad`
+built from its columns (:func:`dayshape_trace`; :func:`dayshape_points` is
+the :class:`~repro.workloads.trace.TracePoint` view), ending in a zero tail
+at ``day_length`` so the trace can repeat it as whole days.  Shapes plug
+into cluster populations (``ClusterScenarioConfig.dayshapes``) and
+single-host scenarios (``WorkloadSpec(kind="trace", dayshape=...)``), and
+can be materialised as a CSV (:func:`dayshape_csv`) for the ``trace_file``
+path — the catalog sits *on top of*
+:func:`~repro.workloads.trace.load_trace_csv`, not beside it.
 """
 
 from __future__ import annotations
@@ -42,14 +44,10 @@ from typing import Callable, List
 
 from ..errors import ConfigurationError
 from ..units import check_positive
-from .trace import TracePoint
+from .trace import TraceLoad, TracePoint
 
 #: A shape builder: (rng, day_length, step) -> demand percent per step.
 Builder = Callable[[random.Random, float, float], List[float]]
-
-
-def _clamp(value: float) -> float:
-    return max(0.0, min(100.0, value))
 
 
 def _steps(day_length: float, step: float) -> list[float]:
@@ -188,24 +186,37 @@ def dayshape_points(
     step: float = 5.0,
     scale: float = 1.0,
 ) -> list[TracePoint]:
-    """One day of *name*-shaped trace points (clamped to [0, 100]).
+    """One day of *name*-shaped trace points (:func:`dayshape_trace`'s)."""
+    return list(
+        dayshape_trace(name, rng, day_length=day_length, step=step, scale=scale).points
+    )
+
+
+def dayshape_trace(
+    name: str,
+    rng: random.Random,
+    *,
+    day_length: float = 400.0,
+    step: float = 5.0,
+    scale: float = 1.0,
+    repeat: bool = False,
+) -> TraceLoad:
+    """One day of *name*-shaped demand (clamped to [0, 100]) as a trace.
 
     ``scale`` multiplies the shape's demand (an intensity knob: the same
-    day at 0.5x or 2x traffic).  The list ends in a zero point at
-    ``day_length`` so :class:`~repro.workloads.trace.TraceLoad` repeats it
-    as whole days.
+    day at 0.5x or 2x traffic).  The trace ends in a zero point at
+    ``day_length`` so a ``repeat`` trace replays it as whole days.
     """
     shape = require_dayshape(name)
     check_positive(day_length, "day_length")
     check_positive(step, "step")
     check_positive(scale, "scale")
     demands = shape.build(rng, day_length, step)
-    points = [
-        TracePoint(start=index * step, percent=_clamp(demand * scale))
-        for index, demand in enumerate(demands)
-    ]
-    points.append(TracePoint(start=day_length, percent=0.0))
-    return points
+    starts = [index * step for index in range(len(demands))]
+    starts.append(day_length)
+    percents = [max(0.0, min(100.0, demand * scale)) for demand in demands]
+    percents.append(0.0)
+    return TraceLoad.from_columns(starts, percents, repeat=repeat)
 
 
 def dayshape_csv(

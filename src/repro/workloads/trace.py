@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 import pathlib
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -109,8 +110,25 @@ def load_trace_csv(path: str | pathlib.Path) -> list[TracePoint]:
     return points
 
 
+def _check_column(values: Sequence[float], name: str) -> None:
+    """Raise :func:`check_non_negative`'s error for the first bad value.
+
+    One bulk pass (a finite sum means no NaN or infinity; then the minimum
+    settles the sign) and a per-value scan only when that fails.
+    """
+    if math.isfinite(sum(values)) and min(values) >= 0:
+        return
+    for value in values:
+        check_non_negative(value, name)
+
+
 class TraceLoad(Workload):
     """Replays a piecewise-constant demand trace onto a domain.
+
+    The trace is held as two columns, point start times and demand
+    percents; :meth:`from_columns` builds one straight from them (the
+    generators' path, no per-point objects) and ``TraceLoad(points)``
+    unzips its points into the same columns.
 
     Parameters
     ----------
@@ -131,15 +149,60 @@ class TraceLoad(Workload):
         injection_period: float = 0.05,
         repeat: bool = False,
     ) -> None:
+        self._init_columns(
+            [point.start for point in points],
+            [point.percent for point in points],
+            injection_period=injection_period,
+            repeat=repeat,
+        )
+
+    @classmethod
+    def from_columns(
+        cls,
+        starts: Sequence[float],
+        percents: Sequence[float],
+        *,
+        injection_period: float = 0.05,
+        repeat: bool = False,
+    ) -> TraceLoad:
+        """A trace whose point *i* is ``(starts[i], percents[i])``.
+
+        Validated exactly as ``TraceLoad(points)`` is: every value finite
+        and >= 0 (the :class:`TracePoint` error text), starts unique,
+        points sorted by start.
+        """
+        trace = cls.__new__(cls)
+        trace._init_columns(
+            starts, percents, injection_period=injection_period, repeat=repeat
+        )
+        return trace
+
+    def _init_columns(
+        self,
+        starts: Sequence[float],
+        percents: Sequence[float],
+        *,
+        injection_period: float,
+        repeat: bool,
+    ) -> None:
         super().__init__()
-        if not points:
+        if len(starts) != len(percents):
+            raise WorkloadError(
+                f"trace columns differ in length: {len(starts)} starts, "
+                f"{len(percents)} percents"
+            )
+        if not starts:
             raise WorkloadError("a trace needs at least one point")
-        ordered = sorted(points, key=lambda point: point.start)
-        starts = [point.start for point in ordered]
-        if len(set(starts)) != len(starts):
-            raise WorkloadError(f"duplicate trace point times: {starts}")
-        self._points: tuple[TracePoint, ...] = tuple(ordered)
+        _check_column(starts, "start")
+        _check_column(percents, "percent")
+        if any(map(operator.ge, starts, starts[1:])):
+            order = sorted(range(len(starts)), key=starts.__getitem__)
+            starts = [starts[index] for index in order]
+            percents = [percents[index] for index in order]
+            if len(set(starts)) != len(starts):
+                raise WorkloadError(f"duplicate trace point times: {starts}")
         self._starts: tuple[float, ...] = tuple(starts)
+        self._percents: tuple[float, ...] = tuple(percents)
         self.injection_period = check_positive(injection_period, "injection_period")
         self.repeat = repeat
         self._timer: PeriodicTimer | None = None
@@ -147,13 +210,13 @@ class TraceLoad(Workload):
 
     @property
     def points(self) -> tuple[TracePoint, ...]:
-        """The trace, sorted by time."""
-        return self._points
+        """The trace, sorted by time (built on each call)."""
+        return tuple(map(TracePoint, self._starts, self._percents))
 
     @property
     def duration(self) -> float:
         """Trace length (start of the final point)."""
-        return self._points[-1].start
+        return self._starts[-1]
 
     def demand_at(self, time: float) -> float:
         """Demand in percent at *time* (with wrap-around when repeating)."""
@@ -162,7 +225,7 @@ class TraceLoad(Workload):
             time = time % duration
         # The last point starting at or before *time* (starts are unique).
         index = bisect_right(self._starts, time)
-        return self._points[index - 1].percent if index else 0.0
+        return self._percents[index - 1] if index else 0.0
 
     def start(self) -> None:
         self._timer = PeriodicTimer(
@@ -231,14 +294,19 @@ class SyntheticTrace:
         self.step = check_positive(step, "step")
 
     def generate(self, rng) -> list[TracePoint]:
-        """Build one day of trace points using *rng* (a random.Random)."""
-        points: list[TracePoint] = []
+        """One day of trace points using *rng* (:meth:`trace`'s)."""
+        return list(self.trace(rng).points)
+
+    def trace(self, rng, *, repeat: bool = False) -> TraceLoad:
+        """One day drawn from *rng* (a random.Random), built from columns."""
         steps = int(self.day_length / self.step)
         burst_slots = set()
         if self.bursts:
             for index in range(self.bursts):
                 centre = int((index + 0.5) * steps / self.bursts)
                 burst_slots.update({centre - 1, centre, centre + 1})
+        starts = []
+        percents = []
         for index in range(steps):
             t = index * self.step
             phase = 2.0 * math.pi * t / self.day_length
@@ -246,6 +314,8 @@ class SyntheticTrace:
             demand += rng.gauss(0.0, self.noise_percent)
             if index in burst_slots:
                 demand += self.burst_percent
-            points.append(TracePoint(start=t, percent=max(0.0, min(100.0, demand))))
-        points.append(TracePoint(start=self.day_length, percent=0.0))
-        return points
+            starts.append(t)
+            percents.append(max(0.0, min(100.0, demand)))
+        starts.append(self.day_length)
+        percents.append(0.0)
+        return TraceLoad.from_columns(starts, percents, repeat=repeat)
